@@ -197,9 +197,7 @@ def _cmd_lattice_snf(args, parser):
 
 
 def _cmd_nl_components(args, parser):
-    count, components = orbits.nl_component_count(
-        args.g, args.locus, with_witnesses=args.witnesses, bound=args.bound
-    )
+    count, components = orbits.nl_component_count(args.g, args.locus, with_witnesses=args.witnesses)
     lat = orbits.locus_lattice(args.g, args.locus)
     rows = []
     for comp in components:
@@ -219,8 +217,6 @@ def _cmd_nl_components(args, parser):
                 }
         rows.append(row)
     inputs = {"g": args.g, "locus": args.locus, "witnesses": args.witnesses}
-    if args.bound is not None:
-        inputs["bound"] = args.bound
     _emit(args, "nl components", inputs, {"count": count, "components": rows})
     return 0
 
@@ -568,7 +564,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--locus", required=True)
     p.add_argument("--witnesses", action="store_true", help="attach explicit witness vectors")
-    p.add_argument("--bound", type=int, help="witness search box bound")
     p.set_defaults(handler=_cmd_nl_components)
     p = nl_sub.add_parser("triangular", help="decomposition into irreducible keys", parents=[common])
     p.add_argument("--g", type=int, required=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 
 from .lattice import (
     DiscElement,
@@ -97,56 +96,6 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
 # witnesses
 
 
-def _label_index(l: IntegralLattice, label: str):
-    try:
-        return l.labels.index(label)
-    except ValueError:
-        return None
-
-
-def _unit(n, i, c=1):
-    v = [0] * n
-    v[i] = c
-    return v
-
-
-def _recipe_vectors(l: IntegralLattice, cand: OrbitCandidate):
-    """Closed-form witness attempts for the standard period lattices.
-
-    Every returned vector is fully re-validated by the caller, so this list
-    only needs to be plausible, not certified.
-    """
-    n = l.rank
-    iw = _label_index(l, "w")
-    ie2, if2 = _label_index(l, "e2"), _label_index(l, "f2")
-    is1 = _label_index(l, "s1")
-    out = []
-    if ie2 is not None and if2 is not None:
-        if cand.divisibility == 1:
-            # e2 + (norm/2) f2 realizes any even norm with div 1, class 0
-            v = _unit(n, ie2)
-            v[if2] = cand.norm // 2
-            out.append(v)
-        if iw is not None:
-            g = (-l.gram[iw][iw] + 2) // 2  # w^2 = -(2g-2)
-            if (g - 2) % 2 == 0:
-                # w + 2 e2 + ((g-2)/2) f2: norm -2, div 2 for g = 2 mod 4
-                v = _unit(n, iw)
-                v[ie2] = 2
-                v[if2] = (g - 2) // 2
-                out.append(v)
-            if is1 is not None and (g + 1) % 2 == 0:
-                # w + s1 + 2 e2 + ((g+1)/2) f2: norm -2, div 2 for g = 3 mod 4
-                v = _unit(n, iw)
-                v[is1] = 1
-                v[ie2] = 2
-                v[if2] = (g + 1) // 2
-                out.append(v)
-    if is1 is not None:
-        out.append(_unit(n, is1))
-    return out
-
-
 def _validates(l, grp, cand, coords):
     v = list(coords)
     if not any(v):
@@ -160,13 +109,15 @@ def _validates(l, grp, cand, coords):
     return grp.element_of([Fraction(c, cand.divisibility) for c in v]) == cand.dual_class
 
 
-def find_witness(l: IntegralLattice, cand: OrbitCandidate, bound: int | None = None) -> LatticeVector | None:
+def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | None:
     """A primitive vector realizing the candidate's (norm, div, class), or None.
 
-    Closed-form recipes are tried first; otherwise a deterministic search over
-    the first two hyperbolic-plane coordinate blocks, in lexicographic order,
-    with every coordinate restricted to [-bound, bound].  Candidates violating
-    the order/q-value compatibility preconditions return None immediately.
+    With y the lift of the class reduced into [0, 1)^rank, the witness is d*y
+    when that already validates, else v = d*(y + e + b*f) for the first
+    orthogonal U block (e, f) and b = (norm - (d*y)^2) / (2d^2).  b is an
+    integer exactly when q(x) = norm/d^2 mod 2Z; v.f = d gives div(v) = d, and
+    ord(x) = d makes v primitive.  Candidates violating the order or q-value
+    compatibility return None.
     """
     grp = discriminant_group(l)
     d = cand.divisibility
@@ -175,59 +126,20 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate, bound: int | None = N
     x = cand.dual_class
     if x.order() != d:
         return None
-    if grp.quadratic(x) != _mod2_rep(Fraction(cand.norm, d * d)):
+    # lifts of one class differ by lattice vectors, so this y is canonical
+    dy = [int(d * (c % 1)) for c in grp.lift(x)]
+    b, rem = divmod(cand.norm - l.norm(dy), 2 * d * d)
+    if rem:
         return None
     blocks = _u_blocks(l)
     if len(blocks) < 2:
         raise ValueError("witness search needs two orthogonal hyperbolic planes in the basis")
-    if bound is None:
-        iw = _label_index(l, "w")
-        bound = -l.gram[iw][iw] + 2 if iw is not None else 2 * l.rank  # 2g for the period lattices
-
-    for v in _recipe_vectors(l, cand):
-        if max(abs(c) for c in v) <= bound and _validates(l, grp, cand, v):
-            return LatticeVector(v)
-
-    # box search: v = d*(lift + a E2 + b F2 + c E3 + e F3); F3^2 = 0 makes the
-    # norm condition linear in e, so e is solved, not iterated (unless its
-    # coefficient vanishes, in which case it is iterated too)
-    lift = grp.lift(x)
-    n = l.rank
-    (i2, j2), (i3, j3) = blocks[0], blocks[1]
-    target = Fraction(cand.norm, d * d)
-
-    def pair_with(vec_fr, idx):
-        return sum(vec_fr[r] * l.gram[r][idx] for r in range(n))
-
-    rng = range(-bound, bound + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                base = [Fraction(t) for t in lift]
-                base[i2] += a
-                base[j2] += b
-                base[i3] += c
-                norm_base = sum(base[r] * l.gram[r][s] * base[s] for r in range(n) for s in range(n))
-                coeff = 2 * pair_with(base, j3)
-                if coeff != 0:
-                    e = (target - norm_base) / coeff
-                    if e.denominator != 1 or abs(e) > bound:
-                        continue
-                    es = [int(e)]
-                else:
-                    if norm_base != target:
-                        continue
-                    es = list(rng)
-                for e in es:
-                    vec = list(base)
-                    vec[j3] += e
-                    coords = [d * t for t in vec]
-                    if any(t.denominator != 1 for t in coords):
-                        continue
-                    ints = [int(t) for t in coords]
-                    if _validates(l, grp, cand, ints):
-                        return LatticeVector(ints)
-    return None
+    if _validates(l, grp, cand, dy):
+        return LatticeVector(dy)
+    e, f = blocks[0]
+    dy[e] += d
+    dy[f] += d * b
+    return LatticeVector(dy) if _validates(l, grp, cand, dy) else None
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +160,7 @@ def _canon_locus(locus: str) -> str:
     raise ValueError(f"unknown locus {locus!r}; valid: nodal, a11, a2")
 
 
-def nl_component_count(g: int, locus: str, with_witnesses: bool = False, bound: int | None = None):
+def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     """Number of irreducible components of a lattice-defined locus in genus g,
     with classical labels and the orbit candidate behind each component.
 
@@ -257,12 +169,16 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False, bound: 
     a11    norm -2 vectors orthogonal to a fixed root: H' always, H'' when
            g = 2 mod 4, H''' when g = 3 mod 4.
     a2     norm -6 vectors w = t1 + 2v supporting a cuspidal configuration:
-           the single component H_{A_2}.  Only divisibility-2 candidates whose
-           doubled class lift is congruent to s1 mod 2L are counted:
-           divisibility-6 candidates (which exist for 3 | g-1, realized by
-           honest vectors) always span a non-saturated configuration, i.e.
-           the surface carries a strictly larger Picard sublattice, and are
-           booked under deeper loci rather than as new A2 components.
+           the single component H_{A_2}.  Only divisibility-2 candidates of
+           class w2 = [s1/2] are counted (lift - s1/2 in L, i.e. the doubled
+           lift is congruent to s1 mod 2L): divisibility-6 candidates (which
+           exist for 3 | g-1, realized by honest vectors) always span a
+           non-saturated configuration, i.e. the surface carries a strictly
+           larger Picard sublattice, and are booked under deeper loci rather
+           than as new A2 components.
+
+    With with_witnesses every component carries the closed-form witness of
+    find_witness, which exists for every Eichler candidate.
     """
     g = int(g)
     if g < 3:
@@ -277,20 +193,9 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False, bound: 
     grp = discriminant_group(l)
     m = 2 * g - 2
     pi = grp.element_of([Fraction(1, m)] + [Fraction(0)] * (l.rank - 1))
-
+    w2 = None if locus == "nodal" else grp.element_of(_w2_lift(l))
     if locus == "a2":
-        is1 = l.labels.index("s1")
-        s1 = _unit(l.rank, is1)
-        kept = []
-        for cand in cands:
-            if cand.divisibility != 2:
-                continue
-            doubled = [2 * t for t in grp.lift(cand.dual_class)]
-            if any(t.denominator != 1 for t in doubled):
-                continue
-            if all((int(t) - s) % 2 == 0 for t, s in zip(doubled, s1)):
-                kept.append(cand)
-        cands = tuple(kept)
+        cands = tuple(c for c in cands if c.divisibility == 2 and c.dual_class == w2)
 
     components = []
     for cand in cands:
@@ -303,7 +208,6 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False, bound: 
             else:  # impossible by the discriminant arithmetic; keep loud
                 raise RuntimeError(f"unclassified nodal candidate {cand}")
         elif locus == "a11":
-            w2 = grp.element_of(_w2_lift(l))
             if cand.divisibility == 1 and x.is_zero():
                 label = "H'"
             elif cand.divisibility == 2 and x == (g - 1) * pi:
@@ -315,7 +219,7 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False, bound: 
         else:
             label = "H_{A_2}"
         if with_witnesses:
-            cand = replace(cand, witness=find_witness(l, cand, bound=bound))
+            cand = replace(cand, witness=find_witness(l, cand))
         components.append(Component(label, cand))
     return len(components), tuple(components)
 

@@ -1,6 +1,7 @@
 """Orbit invariants, witness search, and locus component counts."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -128,16 +129,62 @@ def test_witness_infeasible_candidate_returns_none():
     assert find_witness(la, cand) is None
 
 
-def test_witness_box_search_without_recipe():
-    # nodal div-2 class in LambdaG: the recipe list covers it, so force the
-    # box path by using a lattice without the relevant recipe labels
+def test_witness_closed_form_lambda_g():
+    # nodal div-2 class w/2 in LambdaG: d*y = w has norm -10, so the witness
+    # is w + 2*(e2 + b*f2) with b = (-2 + 10) / 8
     lg = build_standard("LambdaG", g=6)
     cand = OrbitCandidate(-2, 2, 5 * _pi(lg, 6))
     v = find_witness(lg, cand)
     assert v is not None
+    assert lg.describe(v) == "w + 2*e2 + 2*f2"
     assert lg.norm(v) == -2
     assert divisibility(lg, v) == 2
     assert dual_class(lg, v) == cand.dual_class
+
+
+def _witness_failure(l, cand, v):
+    """Why v does not realize cand, checked with plain integer arithmetic."""
+    c = v.coords
+    n = l.rank
+    gv = [sum(l.gram[i][j] * c[j] for j in range(n)) for i in range(n)]
+    if gcd(*c) != 1:
+        return "not primitive"
+    if sum(a * b for a, b in zip(c, gv)) != cand.norm:
+        return "wrong norm"
+    d = cand.divisibility
+    if gcd(*gv) != d:
+        return "wrong divisibility"
+    lift = discriminant_group(l).lift(cand.dual_class)
+    if any((Fraction(a, d) - t).denominator != 1 for a, t in zip(c, lift)):
+        return "v/d - lift not in L"
+    return None
+
+
+def test_witness_for_every_candidate():
+    failures = []
+    count = 0
+    for name in ("LambdaG", "LambdaA1"):
+        for g in range(3, 17):
+            l = build_standard(name, g=g)
+            for norm in (-2, -6, -10, -30):
+                for cand in eichler_candidates(l, norm):
+                    count += 1
+                    v = find_witness(l, cand)
+                    why = "no witness" if v is None else _witness_failure(l, cand, v)
+                    if why:
+                        failures.append((name, g, norm, cand.divisibility, why))
+    assert count == 260
+    assert failures == []
+
+
+@pytest.mark.parametrize("g, expr", [(1000, "w + 2*e2 + 498*f2"), (10**6, "w + 2*e2 + 499998*f2")])
+def test_witness_large_genus(g, expr):
+    lg = build_standard("LambdaG", g=g)
+    cand = OrbitCandidate(-6, 2, _elem(lg, [Fraction(1, 2)] + [Fraction(0)] * (lg.rank - 1)))
+    v = find_witness(lg, cand)
+    assert v is not None
+    assert lg.describe(v) == expr
+    assert _witness_failure(lg, cand, v) is None
 
 
 def test_witness_deterministic():
@@ -160,7 +207,7 @@ def test_div6_class_is_realized_but_not_counted():
     cands = eichler_candidates(la, -6)
     assert any(c.divisibility == 6 and c.dual_class == x for c in cands)
     cand = next(c for c in cands if c.divisibility == 6 and c.dual_class == x)
-    v = find_witness(la, cand, bound=2)
+    v = find_witness(la, cand)
     assert v is not None
     assert la.norm(v) == -6
     assert divisibility(la, v) == 6
@@ -225,6 +272,17 @@ def test_witnesses_round_trip(g):
             assert divisibility(l, v) == cand.divisibility
             assert dual_class(l, v) == cand.dual_class
             assert is_primitive(l, v)
+
+
+@pytest.mark.parametrize("g", range(3, 15))
+def test_component_witness_strings(g):
+    div2 = [f"w + 2*e2 + {(g - 2) // 2}*f2"] if g % 4 == 2 else []
+    h3 = [f"w + 2*e2 + {(g + 1) // 2}*f2 + s1"] if g % 4 == 3 else []
+    expected = {"nodal": ["e2 - f2", *div2], "a11": ["e2 - f2", *div2, *h3], "a2": ["s1"]}
+    for locus, exprs in expected.items():
+        l = locus_lattice(g, locus)
+        _, comps = nl_component_count(g, locus, with_witnesses=True)
+        assert [l.describe(c.candidate.witness) for c in comps] == exprs
 
 
 def test_component_count_determinism():
