@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +31,14 @@ def _mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
+def _dot(x, y):
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} and {len(y)}")
+    return sum(map(mul, x, y))
+
+
 def _mat_vec(a, x):
-    return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
+    return [_dot(r, x) for r in a]
 
 
 def _freeze(m):
@@ -219,11 +226,10 @@ class IntegralLattice:
         return len(self.gram)
 
     def determinant(self) -> int:
-        return _lattice_det(self.gram)
+        return det(self.gram)
 
     def pairing(self, v, w) -> int:
-        vc, wc = _coords(v), _coords(w)
-        return sum(vc[i] * self.gram[i][j] * wc[j] for i in range(self.rank) for j in range(self.rank))
+        return _dot(_coords(v), _mat_vec(self.gram, _coords(w)))
 
     def norm(self, v) -> int:
         return self.pairing(v, v)
@@ -247,11 +253,6 @@ class IntegralLattice:
             else:
                 parts.append(f"{c}*{s}")
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
-@lru_cache(maxsize=None)
-def _lattice_det(gram) -> int:
-    return det(gram)
 
 
 def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
@@ -374,10 +375,6 @@ def _mod2_rep(x: Fraction) -> Fraction:
     return s - 2 if s > 0 else s
 
 
-def _mod1_rep(x: Fraction) -> Fraction:
-    return Fraction(x) % 1
-
-
 @dataclass(frozen=True)
 class DiscElement:
     """Element of a discriminant group, as residues over the invariant factors."""
@@ -418,18 +415,26 @@ class DiscriminantGroup:
     Invariant factors come from the Smith normal form u*G*v = d of the Gram
     matrix: the class group is the product of Z/d_i over the nontrivial d_i,
     and the i-th generator lifts to (column i of v)/d_i in the dual lattice.
+    The forms are evaluated on residues through the generator Gram
+    B_ij = (v_i.G.v_j)/(d_i*d_j), stored as integers over N = (largest d_i)^2.
     """
 
     def __init__(self, lattice: IntegralLattice):
-        if lattice.determinant() == 0:
-            raise ValueError("degenerate lattice has no discriminant group")
         d, u, v = smith_normal_form(lattice.gram)
+        n = lattice.rank
+        if any(d[i][i] == 0 for i in range(n)):
+            raise ValueError("degenerate lattice has no discriminant group")
         self.lattice = lattice
         self._u = u
-        self._positions = tuple(i for i in range(lattice.rank) if d[i][i] > 1)
+        self._positions = tuple(i for i in range(n) if d[i][i] > 1)
         self.factors = tuple(d[i][i] for i in self._positions)
-        self.lifts = tuple(
-            tuple(Fraction(v[r][i], d[i][i]) for r in range(lattice.rank)) for i in self._positions
+        cols = [[v[r][i] for r in range(n)] for i in self._positions]
+        self.lifts = tuple(tuple(Fraction(c, f) for c in col) for col, f in zip(cols, self.factors))
+        # d_i | d_j for i < j, so every d_i*d_j divides N
+        self._den = self.factors[-1] ** 2 if self.factors else 1
+        self._gram = tuple(
+            tuple(lattice.pairing(ci, cj) * (self._den // (fi * fj)) for cj, fj in zip(cols, self.factors))
+            for ci, fi in zip(cols, self.factors)
         )
 
     @property
@@ -445,9 +450,13 @@ class DiscriminantGroup:
     def element(self, residues) -> DiscElement:
         return DiscElement(self.factors, residues)
 
-    def elements(self):
-        """All elements, in lexicographic residue order."""
-        for residues in itertools.product(*(range(d) for d in self.factors)):
+    def elements(self, n: int = 0):
+        """The n-torsion {x : n*x = 0}, in lexicographic residue order.
+
+        n = 0 gives the whole group.
+        """
+        ranges = (range(0, d, d // gcd(n, d)) for d in self.factors)
+        for residues in itertools.product(*ranges):
             yield DiscElement(self.factors, residues)
 
     def element_of(self, dual_vector) -> DiscElement:
@@ -455,10 +464,11 @@ class DiscriminantGroup:
         y = [Fraction(c) for c in dual_vector]
         if len(y) != self.lattice.rank:
             raise ValueError("vector length must match rank")
-        gy = [sum(Fraction(self.lattice.gram[i][j]) * y[j] for j in range(len(y))) for i in range(len(y))]
-        if any(c.denominator != 1 for c in gy):
+        m = lcm(1, *(c.denominator for c in y))
+        gy = _mat_vec(self.lattice.gram, [c.numerator * (m // c.denominator) for c in y])
+        if any(c % m for c in gy):
             raise ValueError("vector is not in the dual lattice")
-        coords = _mat_vec(self._u, [int(c) for c in gy])
+        coords = _mat_vec(self._u, [c // m for c in gy])
         return DiscElement(self.factors, (coords[i] for i in self._positions))
 
     def lift(self, x: DiscElement) -> tuple[Fraction, ...]:
@@ -469,21 +479,20 @@ class DiscriminantGroup:
                 out[i] += a * l[i]
         return tuple(out)
 
+    def _pairing(self, x: DiscElement, y: DiscElement) -> int:
+        """N * lift(x).G.lift(y), summed over the generator Gram."""
+        return sum(a * b * bij for a, row in zip(x.residues, self._gram) for b, bij in zip(y.residues, row))
+
     def quadratic(self, x: DiscElement) -> Fraction:
         """q(x) in Q/2Z, as the canonical representative in (-2, 0]."""
-        y = self.lift(x)
-        val = sum(y[i] * self.lattice.gram[i][j] * y[j] for i in range(len(y)) for j in range(len(y)))
-        return _mod2_rep(val)
+        return _mod2_rep(Fraction(self._pairing(x, x), self._den))
 
     def bilinear(self, x: DiscElement, y: DiscElement) -> Fraction:
         """b(x, y) in Q/Z, as the representative in [0, 1)."""
-        a = self.lift(x)
-        b = self.lift(y)
-        val = sum(a[i] * self.lattice.gram[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
-        return _mod1_rep(val)
+        return Fraction(self._pairing(x, y) % self._den, self._den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def discriminant_group(l: IntegralLattice) -> DiscriminantGroup:
     return DiscriminantGroup(l)
 
@@ -541,9 +550,8 @@ def orthogonal_complement(l: IntegralLattice, vectors):
     emb = []
     for j in range(rank, l.rank):
         emb.append(tuple(v[i][j] for i in range(l.rank)))
-    k = len(emb)
-    gram = [[sum(emb[i][r] * l.gram[r][s] * emb[j][s] for r in range(l.rank) for s in range(l.rank)) for j in range(k)] for i in range(k)]
-    comp = IntegralLattice(gram, tuple(f"c{i + 1}" for i in range(k)))
+    gram = [[l.pairing(a, b) for b in emb] for a in emb]
+    comp = IntegralLattice(gram, tuple(f"c{i + 1}" for i in range(len(emb))))
     return comp, tuple(emb)
 
 

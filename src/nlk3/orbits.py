@@ -64,18 +64,13 @@ def _u_blocks(l: IntegralLattice):
     return blocks
 
 
-def _divisors(n: int):
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, ...]:
     """All (divisibility, class) orbit invariants compatible with the norm.
 
-    Enumerates divisors d of |norm| (divisibility always divides the norm)
-    and classes x with ord(x) = d and q(x) = norm/d^2 mod 2Z.  Deterministic
-    order: d ascending, then class residues lexicographic.
+    The divisibility d of a primitive vector divides its norm and equals the
+    order of its class, so one pass over the norm-torsion {x : norm*x = 0}
+    finds every class x with ord(x) = d and q(x) = norm/d^2 mod 2Z.
+    Deterministic order: d ascending, then class residues lexicographic.
     """
     norm = int(norm)
     if norm == 0 or norm % 2 != 0:
@@ -84,19 +79,18 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
         raise ValueError("orbit classification needs two orthogonal hyperbolic planes in the basis")
     grp = discriminant_group(l)
     out = []
-    for d in _divisors(norm):
-        target = _mod2_rep(Fraction(norm, d * d))
-        for x in grp.elements():
-            if x.order() == d and grp.quadratic(x) == target:
-                out.append(OrbitCandidate(norm, d, x))
-    return tuple(out)
+    for x in grp.elements(norm):
+        d = x.order()
+        if grp.quadratic(x) == _mod2_rep(Fraction(norm, d * d)):
+            out.append(OrbitCandidate(norm, d, x))
+    return tuple(sorted(out, key=lambda c: c.divisibility))
 
 
 # ---------------------------------------------------------------------------
 # witnesses
 
 
-def _validates(l, grp, cand, coords):
+def _validates(l, cand, coords):
     v = list(coords)
     if not any(v):
         return False
@@ -106,7 +100,7 @@ def _validates(l, grp, cand, coords):
         return False
     if divisibility(l, v) != cand.divisibility:
         return False
-    return grp.element_of([Fraction(c, cand.divisibility) for c in v]) == cand.dual_class
+    return dual_class(l, v) == cand.dual_class
 
 
 def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | None:
@@ -134,12 +128,12 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | No
     blocks = _u_blocks(l)
     if len(blocks) < 2:
         raise ValueError("witness search needs two orthogonal hyperbolic planes in the basis")
-    if _validates(l, grp, cand, dy):
+    if _validates(l, cand, dy):
         return LatticeVector(dy)
     e, f = blocks[0]
     dy[e] += d
     dy[f] += d * b
-    return LatticeVector(dy) if _validates(l, grp, cand, dy) else None
+    return LatticeVector(dy) if _validates(l, cand, dy) else None
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +184,9 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     else:
         l = build_standard("LambdaA1", g=g)
         cands = eichler_candidates(l, -2 if locus == "a11" else -6)
-    grp = discriminant_group(l)
-    m = 2 * g - 2
-    pi = grp.element_of([Fraction(1, m)] + [Fraction(0)] * (l.rank - 1))
-    w2 = None if locus == "nodal" else grp.element_of(_w2_lift(l))
+    # div(w) = 2g-2 and div(s1) = 2: the classes of w/(2g-2) and s1/2
+    pi = dual_class(l, [int(s == "w") for s in l.labels])
+    w2 = None if locus == "nodal" else dual_class(l, [int(s == "s1") for s in l.labels])
     if locus == "a2":
         cands = tuple(c for c in cands if c.divisibility == 2 and c.dual_class == w2)
 
@@ -222,13 +215,6 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
             cand = replace(cand, witness=find_witness(l, cand))
         components.append(Component(label, cand))
     return len(components), tuple(components)
-
-
-def _w2_lift(l: IntegralLattice):
-    is1 = l.labels.index("s1")
-    v = [Fraction(0)] * l.rank
-    v[is1] = Fraction(1, 2)
-    return v
 
 
 def locus_lattice(g: int, locus: str) -> IntegralLattice:

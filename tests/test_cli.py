@@ -1,9 +1,11 @@
 """Tests for the command-line interface: output shape, formats, exit codes."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +98,23 @@ def test_lattice_disc_from_file(tmp_path, capsys):
     assert json.loads(out)["result"]["factors"] == [8]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "rank 1\n0\n",
+        "rank 2\n2 2\n2 2\n",
+        "rank 3\n2 1 3\n1 2 3\n3 3 6\n",
+    ],
+)
+def test_lattice_disc_degenerate_file_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "degenerate.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "lattice", "disc", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "degenerate" in json.loads(err)["error"]
+
+
 def test_lattice_disc_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(to_text(build_standard("U"))))
     code, out, _ = run_cli(capsys, "lattice", "disc", "--file", "-")
@@ -145,6 +164,19 @@ def test_components_with_witnesses(capsys):
     assert comps[0]["witness"]["expr"] == "e2 - f2"
     assert comps[1]["witness"]["expr"] == "w + 2*e2 + 2*f2"
     assert comps[1]["div"] == 2
+
+
+def test_components_huge_genus_is_cheap(capsys):
+    # the Eichler scan visits only the 2-torsion of Z/(2g-2), not all of it
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "nl", "components", "--g", "1000002", "--locus", "nodal")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["count"] == 2
+    assert [c["label"] for c in result["components"]] == ["P_{0,-2}", "P_{g-1,(g-2)/2}"]
+    assert [c["class"] for c in result["components"]] == [[0], [1000001]]
+    assert elapsed < 1.0
 
 
 def test_vector_data_rejects_nonnegative_discriminant(capsys):
@@ -297,3 +329,35 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["a2"] == 216
+
+
+# ---------------------------------------------------------------------------
+# stdout contract
+
+
+def _contract_commands():
+    yield ("verify", "--all")
+    for g in [*range(3, 61), 97, 100, 1000]:
+        for locus in ("nodal", "a11", "a2"):
+            for witnesses in ((), ("--witnesses",)):
+                for fmt in ("json", "tsv"):
+                    yield ("--format", fmt, "nl", "components", "--g", str(g), "--locus", locus, *witnesses)
+    for name in ("LambdaG", "LambdaA1"):
+        for g in (3, 6, 7, 11):
+            yield ("lattice", "disc", "--standard", name, "--g", str(g))
+    for name in ("E7neg", "U", "K3"):
+        yield ("lattice", "disc", "--standard", name)
+
+
+# sha256 of the concatenated stdout of the commands above; any change to a
+# printed byte (counts, classes, witnesses, q-values, verify rows) moves it
+STDOUT_SHA256 = "55c30877a27c23c4a184862c342f306f5280d803e814cc4c4831bb5a98e4444c"
+
+
+def test_stdout_contract_sha256(capsys):
+    digest = hashlib.sha256()
+    for args in _contract_commands():
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0, args
+        digest.update(out.encode())
+    assert digest.hexdigest() == STDOUT_SHA256

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlk3.lattice import (
     DiscElement,
+    DiscriminantGroup,
     IntegralLattice,
     build_standard,
     det,
@@ -27,6 +28,18 @@ from nlk3.lattice import (
 
 def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def lift_pairing(l, grp, x, y):
+    """lift(x).G.lift(y) in Q: the definition the residue forms must agree with."""
+    a, b = grp.lift(x), grp.lift(y)
+    return sum(a[i] * l.gram[i][j] * b[j] for i in range(l.rank) for j in range(l.rank))
+
+
+def mod2_rep(value):
+    """Representative of value mod 2Z in (-2, 0]."""
+    r = value % 2
+    return r - 2 if r else r
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +245,63 @@ def test_quadratic_form_polarization_law(g):
             assert (lhs - rhs) % 2 == 0
 
 
+@pytest.mark.parametrize(
+    "name,g", [("E7neg", None), ("LambdaG", 7), ("LambdaA1", 4), ("LambdaA1", 5), ("LambdaA1", 6), ("LambdaA1", 7)]
+)
+def test_residue_forms_match_lift_definition(name, g):
+    l = build_standard(name, g=g) if g else build_standard(name)
+    grp = discriminant_group(l)
+    xs = list(grp.elements())
+    assert len(xs) == grp.order
+    for x in xs:
+        assert grp.quadratic(x) == mod2_rep(lift_pairing(l, grp, x, x))
+    # b on every pair, with G.lift(y) computed once per y
+    g_lifts = {y: [sum(row[j] * c for j, c in enumerate(grp.lift(y))) for row in l.gram] for y in xs}
+    for x in xs:
+        a = grp.lift(x)
+        for y in xs:
+            assert grp.bilinear(x, y) == sum(p * q for p, q in zip(a, g_lifts[y])) % 1
+
+
+@pytest.mark.parametrize("name,g", [("E7neg", None), ("LambdaG", 7), ("LambdaA1", 6), ("LambdaA1", 7)])
+def test_element_of_is_class_of_any_lift(name, g):
+    # element_of(lift(x) + v) == x for lattice vectors v, with mixed denominators
+    l = build_standard(name, g=g) if g else build_standard(name)
+    grp = discriminant_group(l)
+    shift = [(3 * i) % 5 - 2 for i in range(l.rank)]
+    for x in grp.elements():
+        y = grp.lift(x)
+        assert grp.element_of(y) == x
+        assert grp.element_of([c + s for c, s in zip(y, shift)]) == x
+
+
+@pytest.mark.parametrize("name,g", [("E7neg", None), ("LambdaG", 7), ("LambdaA1", 6), ("LambdaA1", 7), ("K3", None)])
+def test_elements_yields_torsion(name, g):
+    l = build_standard(name, g=g) if g else build_standard(name)
+    grp = discriminant_group(l)
+    everything = list(grp.elements())
+    assert list(grp.elements(0)) == everything
+    for n in (1, 2, 3, 4, 6, 12, -2, -6, -10, -30):
+        assert list(grp.elements(n)) == [x for x in everything if (n * x).is_zero()]
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[0]],
+        [[2, 2], [2, 2]],
+        [[2, 1, 3], [1, 2, 3], [3, 3, 6]],  # third row = first + second
+    ],
+)
+def test_degenerate_lattice_has_no_discriminant_group(gram):
+    l = IntegralLattice(gram)
+    assert l.determinant() == 0
+    with pytest.raises(ValueError, match="degenerate"):
+        DiscriminantGroup(l)
+    with pytest.raises(ValueError, match="degenerate"):
+        discriminant_group(l)
+
+
 def test_element_arithmetic():
     grp = discriminant_group(build_standard("LambdaA1", g=6))
     x = grp.element((1, 3))
@@ -399,3 +469,9 @@ def test_random_even_lattice_disc_order(data):
     for x, lift in zip(range(len(grp.factors)), grp.lifts):
         # d_i * lift is an honest lattice vector
         assert all((grp.factors[x] * c).denominator == 1 for c in lift)
+    # the residue forms agree with the lift definition on every generator pair
+    gens = [grp.element(tuple(int(i == j) for j in range(len(grp.factors)))) for i in range(len(grp.factors))]
+    for a in gens:
+        assert grp.quadratic(a) == mod2_rep(lift_pairing(l, grp, a, a))
+        for b in gens:
+            assert grp.bilinear(a, b) == lift_pairing(l, grp, a, b) % 1

@@ -70,6 +70,41 @@ def test_candidates_deterministic_order():
     assert divs == sorted(divs)
 
 
+def _lift_q_values(l):
+    """q of every class of the whole group, taken from its lift."""
+    grp = discriminant_group(l)
+    out = {}
+    for x in grp.elements():
+        y = grp.lift(x)
+        support = [i for i in range(l.rank) if y[i]]
+        out[x] = sum(y[i] * l.gram[i][j] * y[j] for i in support for j in support)
+    return out
+
+
+def _full_scan_candidates(q_values, norm):
+    """Reference enumeration: every divisor d of the norm, then every class."""
+    out = []
+    for d in range(1, abs(norm) + 1):
+        if norm % d == 0:
+            for x, q in q_values.items():
+                if x.order() == d and (q - Fraction(norm, d * d)) % 2 == 0:
+                    out.append(OrbitCandidate(norm, d, x))
+    return tuple(out)
+
+
+def test_candidates_match_full_group_scan():
+    count = 0
+    for name in ("LambdaG", "LambdaA1"):
+        for g in range(3, 17):
+            l = build_standard(name, g=g)
+            q_values = _lift_q_values(l)
+            for norm in (-2, -6, -10, -30):
+                cands = eichler_candidates(l, norm)
+                assert cands == _full_scan_candidates(q_values, norm), (name, g, norm)
+                count += len(cands)
+    assert count == 260
+
+
 def test_candidates_preconditions():
     with pytest.raises(ValueError):
         eichler_candidates(build_standard("U"), -2)  # one hyperbolic plane only
