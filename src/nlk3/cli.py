@@ -11,6 +11,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -533,6 +534,8 @@ def _cmd_verify(args, parser):
 # parser assembly
 
 
+# parse_args leaves a parser unchanged, so one tree serves every call
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlk3",

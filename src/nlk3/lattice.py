@@ -22,13 +22,10 @@ from operator import mul
 
 
 def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 1
+    return m
 
 
 def _dot(x, y):
@@ -42,7 +39,7 @@ def _mat_vec(a, x):
 
 
 def _freeze(m):
-    return tuple(tuple(int(x) for x in row) for row in m)
+    return tuple(tuple(map(int, row)) for row in m)
 
 
 def det(m) -> int:
@@ -77,8 +74,13 @@ def smith_normal_form(m):
 
     d is diagonal with non-negative entries and d[i] | d[i+1]; u and v are
     unimodular (det +-1).  All matrices are returned as tuples of tuples.
+
+    u and v are not unique, and the pivot rule fixes them: at each step the
+    pivot is the first entry of least |a| in row-major order over the trailing
+    block.  The generators of a discriminant group are columns of v, so this
+    rule decides their choice and is part of the output contract.
     """
-    a = [[int(x) for x in row] for row in m]
+    a = [list(map(int, row)) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
@@ -86,65 +88,61 @@ def smith_normal_form(m):
     u = _identity(rows)
     v = _identity(cols)
 
-    def row_op(i, k, q):  # a[i] -= q*a[k]
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def col_op(j, k, q):  # col j -= q*col k
-        for r in a:
-            r[j] -= q * r[k]
-        for r in v:
-            r[j] -= q * r[k]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def col_swap(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
     for k in range(min(rows, cols)):
         while True:
-            # move the smallest nonzero entry of the trailing block to (k, k)
+            # move the first smallest nonzero entry of the trailing block to
+            # (k, k); nothing beats |a| = 1, so the scan stops there
             pivot = None
-            best = None
+            best = 0
             for i in range(k, rows):
+                row = a[i]
                 for j in range(k, cols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                        best = abs(a[i][j])
+                    x = row[j]
+                    if x and (not best or abs(x) < best):
+                        best = abs(x)
                         pivot = (i, j)
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 break
             if pivot[0] != k:
-                row_swap(pivot[0], k)
+                a[pivot[0]], a[k] = a[k], a[pivot[0]]
+                u[pivot[0]], u[k] = u[k], u[pivot[0]]
             if pivot[1] != k:
-                col_swap(pivot[1], k)
-            # euclidean steps shrink |pivot| until row k and column k are clear
-            dirty = False
+                j = pivot[1]
+                for r in (*a, *v):
+                    r[j], r[k] = r[k], r[j]
+            # euclidean steps shrink |pivot| until row k and column k are clear;
+            # each step reads only row k or column k, which it leaves unchanged,
+            # and touches only the entries facing a nonzero one there
+            p = a[k][k]
+            ak, uk = a[k], u[k]
+            a_support = [j for j, x in enumerate(ak) if x]
+            u_support = [j for j, x in enumerate(uk) if x]
             for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    row_op(i, k, a[i][k] // a[k][k])
-                    if a[i][k] != 0:
-                        dirty = True
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    col_op(j, k, a[k][j] // a[k][k])
-                    if a[k][j] != 0:
-                        dirty = True
-            if dirty:
+                ai, ui = a[i], u[i]
+                if ai[k]:
+                    q = ai[k] // p
+                    for j in a_support:
+                        ai[j] -= q * ak[j]
+                    for j in u_support:
+                        ui[j] -= q * uk[j]
+            steps = [(j, ak[j] // p) for j in a_support if j > k]
+            if steps:
+                for r in (*a, *v):
+                    c = r[k]
+                    if c:
+                        for j, q in steps:
+                            r[j] -= q * c
+            # a unit pivot leaves no remainders and divides everything
+            if best == 1:
+                break
+            if any(a[i][k] for i in range(k + 1, rows)) or any(ak[j] for j in range(k + 1, cols)):
                 continue
             # divisibility fix: fold in any entry the pivot does not divide
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if a[i][j] % a[k][k] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(k + 1, rows) if any(x % p for x in a[i][k + 1 :])), None)
             if offender is None:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[offender])]
@@ -154,7 +152,7 @@ def smith_normal_form(m):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-    return _freeze(a), _freeze(u), _freeze(v)
+    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +202,14 @@ class IntegralLattice:
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            if g[i][i] % 2 != 0:
-                raise ValueError(f"odd diagonal entry {g[i][i]} at position {i}: lattice must be even")
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError(f"Gram matrix not symmetric at ({i}, {j})")
+        if g != tuple(zip(*g)) or any(g[i][i] % 2 for i in range(n)):
+            # report the first offence in row-major order
+            for i in range(n):
+                if g[i][i] % 2 != 0:
+                    raise ValueError(f"odd diagonal entry {g[i][i]} at position {i}: lattice must be even")
+                for j in range(i):
+                    if g[i][j] != g[j][i]:
+                        raise ValueError(f"Gram matrix not symmetric at ({i}, {j})")
         if labels is None:
             labels = tuple(f"b{i + 1}" for i in range(n))
         else:
@@ -277,33 +277,49 @@ def rescale(l: IntegralLattice, t: int) -> IntegralLattice:
 # ---------------------------------------------------------------------------
 # standard lattices
 
-_E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
+_E8_EDGES = dict.fromkeys(((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)), 1)
 # basis t1..t8: chain t1-t2-...-t7 with t8 attached to t5; arms (1,2,4) at t5
 _E7_DIAG = (-6, -2, -2, -2, -2, -2, -2)
 # basis s1..s7 = (t1+2t2, t3..t8) inside E8(-1): the orthogonal complement of t1
 _E7_EDGES = {(0, 1): 2, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (3, 6): 1}
 
 
-def _e8neg_gram():
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        g[i][i] = -2
-    for i, j in _E8_EDGES:
-        g[i][j] = g[j][i] = 1
-    return g
-
-
-def _e7neg_gram():
-    g = [[0] * 7 for _ in range(7)]
-    for i in range(7):
-        g[i][i] = _E7_DIAG[i]
-    for (i, j), val in _E7_EDGES.items():
+def _root_gram(diag, edges):
+    g = [[0] * len(diag) for _ in diag]
+    for i, x in enumerate(diag):
+        g[i][i] = x
+    for (i, j), val in edges.items():
         g[i][j] = g[j][i] = val
-    return g
+    return _freeze(g)
 
 
-def _u_gram():
-    return [[0, 1], [1, 0]]
+# orthogonal summands of the standard lattices: (Gram block, basis labels)
+_U1, _U2, _U3 = ((((0, 1), (1, 0)), (f"e{k}", f"f{k}")) for k in (1, 2, 3))
+_E8T, _E8U = ((_root_gram((-2,) * 8, _E8_EDGES), tuple(f"{p}{i}" for i in range(1, 9))) for p in "tu")
+_E7S = (_root_gram(_E7_DIAG, _E7_EDGES), tuple(f"s{i}" for i in range(1, 8)))
+_SUMMANDS = {
+    "U": (_U1,),
+    "E8neg": (_E8T,),
+    "E7neg": (_E7S,),
+    "Uperp": (_U1, _U2, _E8T, _E8U),
+    "K3": (_U1, _U2, _U3, _E8T, _E8U),
+    # both period lattices lead with <-(2g-2)>, basis w
+    "LambdaG": (_U2, _U3, _E8T, _E8U),
+    "LambdaA1": (_U2, _U3, _E8U, _E7S),
+}
+
+
+def _block_diagonal(blocks):
+    """The orthogonal sum of (Gram, labels) blocks as one Gram and label tuple."""
+    n = sum(len(gram) for gram, _ in blocks)
+    rows, labels = [], ()
+    offset = 0
+    for gram, names in blocks:
+        for row in gram:
+            rows.append((0,) * offset + tuple(row) + (0,) * (n - offset - len(row)))
+        offset += len(gram)
+        labels += names
+    return rows, labels
 
 
 STANDARD_NAMES = ("U", "E8neg", "K3", "LambdaG", "LambdaA1", "E7neg", "Uperp")
@@ -334,35 +350,13 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
     elif g is not None:
         raise ValueError(f"{name} does not take a genus")
 
-    if name == "U":
-        return IntegralLattice(_u_gram(), ("e1", "f1"))
-    if name == "E8neg":
-        return IntegralLattice(_e8neg_gram(), tuple(f"t{i}" for i in range(1, 9)))
-    if name == "E7neg":
-        return IntegralLattice(_e7neg_gram(), tuple(f"s{i}" for i in range(1, 8)))
-    if name == "Uperp":
-        l = direct_sum(IntegralLattice(_u_gram(), ("e1", "f1")), IntegralLattice(_u_gram(), ("e2", "f2")))
-        l = direct_sum(l, IntegralLattice(_e8neg_gram(), tuple(f"t{i}" for i in range(1, 9))))
-        return direct_sum(l, IntegralLattice(_e8neg_gram(), tuple(f"u{i}" for i in range(1, 9))))
-    if name == "K3":
-        l = IntegralLattice(_u_gram(), ("e1", "f1"))
-        l = direct_sum(l, IntegralLattice(_u_gram(), ("e2", "f2")))
-        l = direct_sum(l, IntegralLattice(_u_gram(), ("e3", "f3")))
-        l = direct_sum(l, IntegralLattice(_e8neg_gram(), tuple(f"t{i}" for i in range(1, 9))))
-        return direct_sum(l, IntegralLattice(_e8neg_gram(), tuple(f"u{i}" for i in range(1, 9))))
-    if name == "LambdaG":
-        l = IntegralLattice([[-(2 * g - 2)]], ("w",))
-        l = direct_sum(l, IntegralLattice(_u_gram(), ("e2", "f2")))
-        l = direct_sum(l, IntegralLattice(_u_gram(), ("e3", "f3")))
-        l = direct_sum(l, IntegralLattice(_e8neg_gram(), tuple(f"t{i}" for i in range(1, 9))))
-        return direct_sum(l, IntegralLattice(_e8neg_gram(), tuple(f"u{i}" for i in range(1, 9))))
-    if name == "LambdaA1":
-        l = IntegralLattice([[-(2 * g - 2)]], ("w",))
-        l = direct_sum(l, IntegralLattice(_u_gram(), ("e2", "f2")))
-        l = direct_sum(l, IntegralLattice(_u_gram(), ("e3", "f3")))
-        l = direct_sum(l, IntegralLattice(_e8neg_gram(), tuple(f"u{i}" for i in range(1, 9))))
-        return direct_sum(l, IntegralLattice(_e7neg_gram(), tuple(f"s{i}" for i in range(1, 8))))
-    raise ValueError(f"unknown lattice {name!r}; valid names: {', '.join(STANDARD_NAMES)}")
+    if name not in _SUMMANDS:
+        raise ValueError(f"unknown lattice {name!r}; valid names: {', '.join(STANDARD_NAMES)}")
+    blocks = _SUMMANDS[name]
+    if g is not None:
+        w = (((-(2 * g - 2),),), ("w",))
+        blocks = (w, *blocks)
+    return IntegralLattice(*_block_diagonal(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +426,9 @@ class DiscriminantGroup:
         self.lifts = tuple(tuple(Fraction(c, f) for c in col) for col, f in zip(cols, self.factors))
         # d_i | d_j for i < j, so every d_i*d_j divides N
         self._den = self.factors[-1] ** 2 if self.factors else 1
+        gcols = [_mat_vec(lattice.gram, c) for c in cols]
         self._gram = tuple(
-            tuple(lattice.pairing(ci, cj) * (self._den // (fi * fj)) for cj, fj in zip(cols, self.factors))
+            tuple(_dot(ci, gcj) * (self._den // (fi * fj)) for gcj, fj in zip(gcols, self.factors))
             for ci, fi in zip(cols, self.factors)
         )
 
@@ -468,8 +463,11 @@ class DiscriminantGroup:
         gy = _mat_vec(self.lattice.gram, [c.numerator * (m // c.denominator) for c in y])
         if any(c % m for c in gy):
             raise ValueError("vector is not in the dual lattice")
-        coords = _mat_vec(self._u, [c // m for c in gy])
-        return DiscElement(self.factors, (coords[i] for i in self._positions))
+        return self._class_of([c // m for c in gy])
+
+    def _class_of(self, gy) -> DiscElement:
+        """Class of the dual vector y, given the integer vector G.y."""
+        return DiscElement(self.factors, (_dot(self._u[i], gy) for i in self._positions))
 
     def lift(self, x: DiscElement) -> tuple[Fraction, ...]:
         n = self.lattice.rank
@@ -505,21 +503,29 @@ def disc_quadratic(l: IntegralLattice, x) -> Fraction:
     return group.quadratic(x)
 
 
-def divisibility(l: IntegralLattice, v) -> int:
-    """gcd of the pairings of v with the whole lattice (v nonzero)."""
-    pairings = _mat_vec(l.gram, list(_coords(v)))
-    d = 0
-    for p in pairings:
-        d = gcd(d, p)
+def _pairings_gcd(l: IntegralLattice, v) -> tuple[int, list[int]]:
+    """(div(v), G.v): the gcd of the pairings of v with the basis, and those pairings."""
+    gv = _mat_vec(l.gram, list(_coords(v)))
+    d = gcd(*gv)
     if d == 0:
         raise ValueError("divisibility undefined for vectors pairing to zero with everything")
-    return d
+    return d, gv
+
+
+def divisibility(l: IntegralLattice, v) -> int:
+    """gcd of the pairings of v with the whole lattice (v nonzero)."""
+    return _pairings_gcd(l, v)[0]
+
+
+def _div_and_class(l: IntegralLattice, v) -> tuple[int, DiscElement]:
+    """(div(v), class of v/div(v)), both read off the one mat-vec G.v."""
+    d, gv = _pairings_gcd(l, v)
+    return d, discriminant_group(l)._class_of([c // d for c in gv])
 
 
 def dual_class(l: IntegralLattice, v) -> DiscElement:
     """Class of v/div(v) in the discriminant group."""
-    d = divisibility(l, v)
-    return discriminant_group(l).element_of([Fraction(c, d) for c in _coords(v)])
+    return _div_and_class(l, v)[1]
 
 
 def is_primitive(l: IntegralLattice, v) -> bool:
@@ -568,29 +574,35 @@ def to_text(l: IntegralLattice) -> str:
 
 
 def from_text(text: str) -> IntegralLattice:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("rank "):
-        raise ValueError("line 1: expected 'rank N' header")
+    """Parse the text format; '#' starts a comment, and errors name file lines."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    if not lines or not lines[0][1].startswith("rank "):
+        raise ValueError(f"line {lines[0][0] if lines else 1}: expected 'rank N' header")
     try:
-        n = int(lines[0].split()[1])
+        n = int(lines[0][1].split()[1])
     except (IndexError, ValueError):
-        raise ValueError("line 1: malformed rank header") from None
+        raise ValueError(f"line {lines[0][0]}: malformed rank header") from None
     if n < 0 or len(lines) < n + 1:
         raise ValueError(f"expected {n} Gram rows after the header")
     gram = []
-    for i in range(n):
-        parts = lines[1 + i].split()
+    for lineno, line in lines[1 : n + 1]:
+        parts = line.split()
         if len(parts) != n:
-            raise ValueError(f"line {i + 2}: expected {n} entries, got {len(parts)}")
+            raise ValueError(f"line {lineno}: expected {n} entries, got {len(parts)}")
         try:
             gram.append([int(p) for p in parts])
         except ValueError:
-            raise ValueError(f"line {i + 2}: non-integer entry") from None
+            raise ValueError(f"line {lineno}: non-integer entry") from None
     labels = None
     if len(lines) > n + 1:
-        labels = tuple(lines[n + 1].split())
+        lineno, line = lines[n + 1]
+        labels = tuple(line.split())
         if len(labels) != n:
-            raise ValueError(f"line {n + 2}: expected {n} labels, got {len(labels)}")
+            raise ValueError(f"line {lineno}: expected {n} labels, got {len(labels)}")
     if len(lines) > n + 2:
-        raise ValueError(f"unexpected trailing content at line {n + 3}")
+        raise ValueError(f"unexpected trailing content at line {lines[n + 2][0]}")
     return IntegralLattice(gram, labels)

@@ -19,10 +19,10 @@ from .lattice import (
     DiscElement,
     IntegralLattice,
     LatticeVector,
+    _div_and_class,
     _mod2_rep,
     build_standard,
     discriminant_group,
-    divisibility,
     dual_class,
     is_primitive,
 )
@@ -47,20 +47,18 @@ class Component:
 
 
 def _u_blocks(l: IntegralLattice):
-    """Indices (i, j) of basis pairs spanning pairwise orthogonal U summands."""
-    blocks = []
-    used = set()
+    """Indices (i, j) of basis pairs spanning pairwise orthogonal U summands.
+
+    (i, j) spans an orthogonal U exactly when the only nonzero entry of row i
+    is gram[i][j] = 1 and the only nonzero entry of row j is gram[j][i].
+    """
     n = l.rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i in used or j in used:
-                continue
-            if l.gram[i][i] != 0 or l.gram[j][j] != 0 or l.gram[i][j] != 1:
-                continue
-            others = [k for k in range(n) if k not in (i, j)]
-            if all(l.gram[i][k] == 0 and l.gram[j][k] == 0 for k in others):
+    blocks = []
+    for i, row in enumerate(l.gram):
+        if row.count(0) == n - 1 and 1 in row:
+            j = row.index(1)
+            if j > i and l.gram[j].count(0) == n - 1:
                 blocks.append((i, j))
-                used.update((i, j))
     return blocks
 
 
@@ -98,9 +96,7 @@ def _validates(l, cand, coords):
         return False
     if l.norm(v) != cand.norm:
         return False
-    if divisibility(l, v) != cand.divisibility:
-        return False
-    return dual_class(l, v) == cand.dual_class
+    return _div_and_class(l, v) == (cand.divisibility, cand.dual_class)
 
 
 def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | None:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from nlk3 import cli
-from nlk3.lattice import build_standard, smith_normal_form, to_text
+from nlk3.lattice import STANDARD_NAMES, build_standard, smith_normal_form, to_text
 
 
 def run_cli(capsys, *args):
@@ -115,6 +115,23 @@ def test_lattice_disc_degenerate_file_exits_two(tmp_path, capsys, text):
     assert "degenerate" in json.loads(err)["error"]
 
 
+def test_lattice_disc_file_with_comments(tmp_path, capsys):
+    path = tmp_path / "commented.txt"
+    path.write_text("rank 2\n# comment\n0 1  # e.f = 1\n1 0\n")
+    code, out, _ = run_cli(capsys, "lattice", "disc", "--file", str(path))
+    assert code == 0
+    assert json.loads(out)["result"] == {"order": 1, "factors": [], "generators": []}
+
+
+def test_lattice_file_error_names_file_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("rank 2\n0 1\n\n1 x\n")
+    code, out, err = run_cli(capsys, "lattice", "disc", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "line 4: non-integer entry"
+
+
 def test_lattice_disc_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(to_text(build_standard("U"))))
     code, out, _ = run_cli(capsys, "lattice", "disc", "--file", "-")
@@ -140,6 +157,29 @@ def test_lattice_snf_matches_library(capsys):
     assert result["d"] == [list(r) for r in d]
     assert result["u"] == [list(r) for r in u]
     assert result["v"] == [list(r) for r in v]
+
+
+def _snf_commands():
+    for name in STANDARD_NAMES:
+        if name in ("LambdaG", "LambdaA1"):
+            for g in (3, 6, 7, 11):
+                yield ("lattice", "snf", "--standard", name, "--g", str(g))
+        else:
+            yield ("lattice", "snf", "--standard", name)
+
+
+# sha256 of the concatenated `lattice snf` stdout above: u and v depend on
+# every step of the elimination, not only on the invariant factors
+SNF_STDOUT_SHA256 = "bbba585d242cd44914737937e0256c1d7a504425e1343dba6dfc94cc7aa13a8d"
+
+
+def test_lattice_snf_stdout_sha256(capsys):
+    digest = hashlib.sha256()
+    for args in _snf_commands():
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0, args
+        digest.update(out.encode())
+    assert digest.hexdigest() == SNF_STDOUT_SHA256
 
 
 def test_lattice_source_validation(capsys):
@@ -329,6 +369,15 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["a2"] == 216
+
+
+def test_parser_is_reused_across_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    args = ("nl", "components", "--g", "6", "--locus", "a11")
+    first = run_cli(capsys, *args)
+    assert run_cli(capsys, "nl", "components", "--g", "6")[0] == 1  # usage error in between
+    assert run_cli(capsys, "lattice", "disc", "--standard", "U", "--format", "tsv")[0] == 0
+    assert run_cli(capsys, *args) == first
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nlk3.lattice import (
     DiscElement,
     DiscriminantGroup,
+    STANDARD_NAMES,
     IntegralLattice,
     build_standard,
     det,
@@ -95,6 +96,112 @@ def test_snf_properties(data):
                 assert d[i][j] == 0
 
 
+def reference_snf(m):
+    """The Smith normal form as first shipped, kept verbatim: the pivot rule
+    (first entry of least |a|, row-major) and every step fix u and v, which
+    the lifts, the class residues and `lattice snf` print."""
+    a = [[int(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError("ragged matrix")
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, k, q):  # a[i] -= q*a[k]
+        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+
+    def col_op(j, k, q):  # col j -= q*col k
+        for r in a:
+            r[j] -= q * r[k]
+        for r in v:
+            r[j] -= q * r[k]
+
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
+        u[i], u[k] = u[k], u[i]
+
+    def col_swap(j, k):
+        for r in a:
+            r[j], r[k] = r[k], r[j]
+        for r in v:
+            r[j], r[k] = r[k], r[j]
+
+    for k in range(min(rows, cols)):
+        while True:
+            pivot = None
+            best = None
+            for i in range(k, rows):
+                for j in range(k, cols):
+                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                        best = abs(a[i][j])
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            if pivot[0] != k:
+                row_swap(pivot[0], k)
+            if pivot[1] != k:
+                col_swap(pivot[1], k)
+            dirty = False
+            for i in range(k + 1, rows):
+                if a[i][k] != 0:
+                    row_op(i, k, a[i][k] // a[k][k])
+                    if a[i][k] != 0:
+                        dirty = True
+            for j in range(k + 1, cols):
+                if a[k][j] != 0:
+                    col_op(j, k, a[k][j] // a[k][k])
+                    if a[k][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(k + 1, rows):
+                for j in range(k + 1, cols):
+                    if a[i][j] % a[k][k] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[offender])]
+            u[k] = [x + y for x, y in zip(u[k], u[offender])]
+
+    for i in range(min(rows, cols)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    freeze = lambda mat: tuple(tuple(int(x) for x in row) for row in mat)
+    return freeze(a), freeze(u), freeze(v)
+
+
+def standard_lattices(genera):
+    for name in STANDARD_NAMES:
+        if name in ("LambdaG", "LambdaA1"):
+            for g in genera:
+                yield name, g
+        else:
+            yield name, None
+
+
+@pytest.mark.parametrize("name,g", list(standard_lattices([*range(2, 61), 1000])))
+def test_snf_matches_reference_on_standard_lattices(name, g):
+    gram = build_standard(name, g=g).gram
+    assert smith_normal_form(gram) == reference_snf(gram)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_snf_matches_reference_on_sparse_matrices(data):
+    rows = data.draw(st.integers(0, 9))
+    cols = data.draw(st.integers(1, 9))
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-12, 12))
+    m = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    assert smith_normal_form(m) == reference_snf(m)
+
+
 # ---------------------------------------------------------------------------
 # standard lattices and determinants
 
@@ -155,6 +262,54 @@ def test_direct_sum_det_multiplicative():
     assert direct_sum(u, e8).determinant() == u.determinant() * e8.determinant()
     assert direct_sum(u, u).rank == 4
     assert direct_sum(u, u).determinant() == 1
+
+
+def chained_build(name, g=None):
+    """The standard lattices as orthogonal sums, one direct_sum at a time."""
+    def root_lattice(diag, edges, labels):
+        gram = [[0] * len(diag) for _ in diag]
+        for i, x in enumerate(diag):
+            gram[i][i] = x
+        for (i, j), x in edges.items():
+            gram[i][j] = gram[j][i] = x
+        return IntegralLattice(gram, labels)
+
+    e8_edges = dict.fromkeys([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)], 1)
+    e7_edges = {(0, 1): 2, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (3, 6): 1}
+    u = lambda k: IntegralLattice([[0, 1], [1, 0]], (f"e{k}", f"f{k}"))
+    e8 = lambda p: root_lattice([-2] * 8, e8_edges, [f"{p}{i}" for i in range(1, 9)])
+    e7 = root_lattice([-6] + [-2] * 6, e7_edges, [f"s{i}" for i in range(1, 8)])
+    summands = {
+        "U": [u(1)],
+        "E8neg": [e8("t")],
+        "E7neg": [e7],
+        "Uperp": [u(1), u(2), e8("t"), e8("u")],
+        "K3": [u(1), u(2), u(3), e8("t"), e8("u")],
+        "LambdaG": [u(2), u(3), e8("t"), e8("u")],
+        "LambdaA1": [u(2), u(3), e8("u"), e7],
+    }[name]
+    if g is not None:
+        summands.insert(0, IntegralLattice([[-(2 * g - 2)]], ("w",)))
+    l = summands[0]
+    for m in summands[1:]:
+        l = direct_sum(l, m)
+    return l
+
+
+@pytest.mark.parametrize("name,g", list(standard_lattices([2, 3, 7, 1000])))
+def test_build_standard_equals_chained_direct_sums(name, g):
+    l = build_standard(name, g=g)
+    expected = chained_build(name, g)
+    assert (l.gram, l.labels) == (expected.gram, expected.labels)
+
+
+def test_constructor_reports_first_bad_entry_in_row_major_order():
+    with pytest.raises(ValueError, match=r"not symmetric at \(2, 0\)"):
+        IntegralLattice([[0, 0, 1], [0, 0, 5], [0, 3, 0]])
+    with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
+        IntegralLattice([[0, 1, 0], [2, 0, 0], [0, 0, 3]])
+    with pytest.raises(ValueError, match="odd diagonal entry 3 at position 1"):
+        IntegralLattice([[0, 1, 0], [1, 3, 0], [7, 0, 0]])
 
 
 def test_constructor_rejects_bad_gram():
@@ -364,6 +519,16 @@ def test_divisibility_divides_norm():
             assert dual_class(la, v).order() == d
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dual_class_matches_fraction_route(data):
+    name = data.draw(st.sampled_from(["LambdaG", "LambdaA1"]))
+    l = build_standard(name, g=data.draw(st.integers(2, 40)))
+    v = data.draw(st.lists(st.integers(-6, 6), min_size=l.rank, max_size=l.rank).filter(any))
+    d = divisibility(l, v)
+    assert dual_class(l, v) == discriminant_group(l).element_of([Fraction(c, d) for c in v])
+
+
 def test_divisibility_rejects_zero():
     with pytest.raises(ValueError):
         divisibility(build_standard("U"), [0, 0])
@@ -440,6 +605,27 @@ def test_from_text_malformed():
         from_text("rank 2\n0 1\n1 0\ne1\n")
     with pytest.raises(ValueError):
         from_text("rank 2\n0 1\n1 0\ne1 f1\nextra\n")
+
+
+def test_from_text_full_line_comment():
+    assert from_text("rank 2\n# hyperbolic plane\n0 1\n1 0\n") == IntegralLattice([[0, 1], [1, 0]])
+
+
+def test_from_text_trailing_comment():
+    l = from_text("# U\nrank 2  # header\n0 1 # row 1\n1 0\ne f # labels\n")
+    assert l.gram == ((0, 1), (1, 0))
+    assert l.labels == ("e", "f")
+
+
+def test_from_text_errors_name_file_lines():
+    with pytest.raises(ValueError, match="line 4: non-integer entry"):
+        from_text("rank 2\n0 1\n\n1 x\n")
+    with pytest.raises(ValueError, match="line 5: expected 2 entries"):
+        from_text("# comment\n\nrank 2\n0 1\n1 0 0\n")
+    with pytest.raises(ValueError, match="line 3: expected 'rank N' header"):
+        from_text("\n# only comments before\nnot a header\n")
+    with pytest.raises(ValueError, match="trailing content at line 7"):
+        from_text("rank 2\n0 1\n1 0\n\ne f\n\nextra\n")
 
 
 def test_describe():

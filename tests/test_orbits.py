@@ -1,13 +1,23 @@
 """Orbit invariants, witness search, and locus component counts."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from nlk3.lattice import build_standard, discriminant_group, divisibility, dual_class, is_primitive
+from nlk3.lattice import (
+    STANDARD_NAMES,
+    IntegralLattice,
+    build_standard,
+    discriminant_group,
+    divisibility,
+    dual_class,
+    is_primitive,
+)
 from nlk3.orbits import (
     OrbitCandidate,
+    _u_blocks,
     eichler_candidates,
     find_witness,
     locus_lattice,
@@ -103,6 +113,61 @@ def test_candidates_match_full_group_scan():
                 assert cands == _full_scan_candidates(q_values, norm), (name, g, norm)
                 count += len(cands)
     assert count == 260
+
+
+def reference_u_blocks(l):
+    """The greedy O(n^3) scan for orthogonal U blocks, as first shipped."""
+    blocks = []
+    used = set()
+    n = l.rank
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i in used or j in used:
+                continue
+            if l.gram[i][i] != 0 or l.gram[j][j] != 0 or l.gram[i][j] != 1:
+                continue
+            others = [k for k in range(n) if k not in (i, j)]
+            if all(l.gram[i][k] == 0 and l.gram[j][k] == 0 for k in others):
+                blocks.append((i, j))
+                used.update((i, j))
+    return blocks
+
+
+# U; look-alikes that are not orthogonal U summands ([[0,1],[1,2]], a U with
+# an off-block entry to a third vector, U(2), U(-1)); and filler blocks
+_BLOCKS = (
+    [[0, 1], [1, 0]],
+    [[0, 1], [1, 0]],
+    [[0, 1], [1, 2]],
+    [[0, 1, 1], [1, 0, 0], [1, 0, -2]],
+    [[0, 2], [2, 0]],
+    [[0, -1], [-1, 0]],
+    [[-2]],
+    [[0]],
+    build_standard("E8neg").gram,
+)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_u_blocks_match_reference_on_shuffled_blocks(seed):
+    rng = random.Random(seed)
+    blocks = rng.sample(_BLOCKS, rng.randint(1, len(_BLOCKS)))
+    n = sum(len(b) for b in blocks)
+    gram = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            gram[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    perm = rng.sample(range(n), n)
+    l = IntegralLattice([[gram[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    assert _u_blocks(l) == reference_u_blocks(l)
+
+
+@pytest.mark.parametrize("name", STANDARD_NAMES)
+def test_u_blocks_match_reference_on_standard_lattices(name):
+    l = build_standard(name, g=7 if name in ("LambdaG", "LambdaA1") else None)
+    assert _u_blocks(l) == reference_u_blocks(l)
 
 
 def test_candidates_preconditions():
