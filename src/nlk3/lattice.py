@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -38,13 +38,26 @@ def _mat_vec(a, x):
     return [_dot(r, x) for r in a]
 
 
+def _int_row(row) -> tuple[int, ...]:
+    """The entries of row as a tuple of ints; a non-integral entry raises
+    ValueError instead of being truncated."""
+    row = tuple(row)
+    if all(type(x) is int for x in row):
+        return row
+    out = tuple(map(int, row))
+    for x, y in zip(row, out):
+        if x != y:
+            raise ValueError(f"non-integral entry {x!r}")
+    return out
+
+
 def _freeze(m):
-    return tuple(tuple(map(int, row)) for row in m)
+    return tuple(map(_int_row, m))
 
 
 def det(m) -> int:
     """Determinant of an integer matrix, by fraction-free Bareiss elimination."""
-    a = [[int(x) for x in row] for row in m]
+    a = [list(_int_row(row)) for row in m]
     n = len(a)
     if n == 0:
         return 1
@@ -80,7 +93,7 @@ def smith_normal_form(m):
     block.  The generators of a discriminant group are columns of v, so this
     rule decides their choice and is part of the output contract.
     """
-    a = [list(map(int, row)) for row in m]
+    a = [list(_int_row(row)) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
@@ -166,7 +179,7 @@ class LatticeVector:
     coords: tuple[int, ...]
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
+        object.__setattr__(self, "coords", _int_row(coords))
 
     def __add__(self, other):
         return LatticeVector(x + y for x, y in zip(self.coords, _coords(other), strict=True))
@@ -187,7 +200,7 @@ class LatticeVector:
 def _coords(v):
     if isinstance(v, LatticeVector):
         return v.coords
-    return tuple(int(c) for c in v)
+    return _int_row(v)
 
 
 @dataclass(frozen=True)
@@ -220,6 +233,15 @@ class IntegralLattice:
                 raise ValueError("labels must be nonempty and contain no spaces")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "labels", labels)
+        # lattices key the discriminant_group cache: hash the Gram only once
+        object.__setattr__(self, "_hash", hash((g, labels)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so _hash is not pickled
+        return IntegralLattice, (self.gram, self.labels)
 
     @property
     def rank(self) -> int:
@@ -409,8 +431,10 @@ class DiscriminantGroup:
     Invariant factors come from the Smith normal form u*G*v = d of the Gram
     matrix: the class group is the product of Z/d_i over the nontrivial d_i,
     and the i-th generator lifts to (column i of v)/d_i in the dual lattice.
-    The forms are evaluated on residues through the generator Gram
-    B_ij = (v_i.G.v_j)/(d_i*d_j), stored as integers over N = (largest d_i)^2.
+    With D the largest d_i (the exponent of the group; D = 1 for the trivial
+    group) every lift is an integer vector over D, and the forms are evaluated
+    on residues through the generator Gram B_ij = (v_i.G.v_j)/(d_i*d_j),
+    stored as integers over N = D^2.
     """
 
     def __init__(self, lattice: IntegralLattice):
@@ -422,15 +446,20 @@ class DiscriminantGroup:
         self._u = u
         self._positions = tuple(i for i in range(n) if d[i][i] > 1)
         self.factors = tuple(d[i][i] for i in self._positions)
-        cols = [[v[r][i] for r in range(n)] for i in self._positions]
-        self.lifts = tuple(tuple(Fraction(c, f) for c in col) for col, f in zip(cols, self.factors))
+        self._cols = tuple(tuple(v[r][i] for r in range(n)) for i in self._positions)
+        self._exponent = self.factors[-1] if self.factors else 1
         # d_i | d_j for i < j, so every d_i*d_j divides N
-        self._den = self.factors[-1] ** 2 if self.factors else 1
-        gcols = [_mat_vec(lattice.gram, c) for c in cols]
+        self._den = self._exponent**2
+        gcols = [_mat_vec(lattice.gram, c) for c in self._cols]
         self._gram = tuple(
             tuple(_dot(ci, gcj) * (self._den // (fi * fj)) for gcj, fj in zip(gcols, self.factors))
-            for ci, fi in zip(cols, self.factors)
+            for ci, fi in zip(self._cols, self.factors)
         )
+
+    @cached_property
+    def lifts(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The generator lifts (column i of v)/d_i."""
+        return tuple(tuple(Fraction(c, f) for c in col) for col, f in zip(self._cols, self.factors))
 
     @property
     def order(self) -> int:
@@ -469,13 +498,29 @@ class DiscriminantGroup:
         """Class of the dual vector y, given the integer vector G.y."""
         return DiscElement(self.factors, (_dot(self._u[i], gy) for i in self._positions))
 
+    def _lift_numerators(self, x: DiscElement) -> list[int]:
+        """D * lift(x), an integer vector: the sum of a_i * (D/d_i) * v_i."""
+        out = [0] * self.lattice.rank
+        for a, f, col in zip(x.residues, self.factors, self._cols):
+            if a:
+                c = a * (self._exponent // f)
+                out = [s + c * y for s, y in zip(out, col)]
+        return out
+
     def lift(self, x: DiscElement) -> tuple[Fraction, ...]:
-        n = self.lattice.rank
-        out = [Fraction(0)] * n
-        for a, l in zip(x.residues, self.lifts):
-            for i in range(n):
-                out[i] += a * l[i]
-        return tuple(out)
+        """The lift of x to the dual lattice: the sum of a_i * (column i of v)/d_i."""
+        return tuple(Fraction(c, self._exponent) for c in self._lift_numerators(x))
+
+    def lift_multiple(self, x: DiscElement, m: int) -> list[int]:
+        """m*y as integers, for y the lift of x reduced into [0, 1)^rank.
+
+        Lifts of one class differ by lattice vectors, so y is canonical.
+        m*y is integral exactly when m*x = 0, which is required.
+        """
+        if any(m * a % f for a, f in zip(x.residues, self.factors)):
+            raise ValueError(f"{m} does not annihilate the class")
+        big = self._exponent
+        return [m * (c % big) // big for c in self._lift_numerators(x)]
 
     def _pairing(self, x: DiscElement, y: DiscElement) -> int:
         """N * lift(x).G.lift(y), summed over the generator Gram."""
@@ -484,6 +529,10 @@ class DiscriminantGroup:
     def quadratic(self, x: DiscElement) -> Fraction:
         """q(x) in Q/2Z, as the canonical representative in (-2, 0]."""
         return _mod2_rep(Fraction(self._pairing(x, x), self._den))
+
+    def quadratic_is(self, x: DiscElement, num: int, den: int) -> bool:
+        """Whether q(x) = num/den in Q/2Z, in integers only."""
+        return (self._pairing(x, x) * den - num * self._den) % (2 * self._den * den) == 0
 
     def bilinear(self, x: DiscElement, y: DiscElement) -> Fraction:
         """b(x, y) in Q/Z, as the representative in [0, 1)."""
@@ -517,15 +566,17 @@ def divisibility(l: IntegralLattice, v) -> int:
     return _pairings_gcd(l, v)[0]
 
 
-def _div_and_class(l: IntegralLattice, v) -> tuple[int, DiscElement]:
-    """(div(v), class of v/div(v)), both read off the one mat-vec G.v."""
-    d, gv = _pairings_gcd(l, v)
-    return d, discriminant_group(l)._class_of([c // d for c in gv])
-
-
 def dual_class(l: IntegralLattice, v) -> DiscElement:
     """Class of v/div(v) in the discriminant group."""
-    return _div_and_class(l, v)[1]
+    d, gv = _pairings_gcd(l, v)
+    return discriminant_group(l)._class_of([c // d for c in gv])
+
+
+def orbit_invariants(l: IntegralLattice, v) -> tuple[int, int, DiscElement]:
+    """(v^2, div(v), class of v/div(v)), all read off the one mat-vec G.v."""
+    c = _coords(v)
+    d, gv = _pairings_gcd(l, c)
+    return _dot(c, gv), d, discriminant_group(l)._class_of([x // d for x in gv])
 
 
 def is_primitive(l: IntegralLattice, v) -> bool:

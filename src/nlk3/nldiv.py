@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,12 @@ def triangular_decomposition(key: NLKey, variant: str = "d-corrected"):
     out = []
     x = 1
     while x * x <= t:
-        if t % (x * x) == 0:
+        if t % (x * x) == 0 and key.d % (h := gcd(x, m)) == 0:
             ti = t // (x * x)
-            for di in range(m):
-                if (x * di - key.d) % m != 0:
-                    continue
+            # the solutions of x*di = d (mod m) in [0, m): one residue mod m/h
+            step = m // h
+            d0 = key.d // h * pow(x // h, -1, step) % step
+            for di in range(d0, m, step):
                 num = di * di - ti
                 if num % m != 0:
                     continue

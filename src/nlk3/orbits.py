@@ -13,18 +13,16 @@ witness vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .lattice import (
     DiscElement,
     IntegralLattice,
     LatticeVector,
-    _div_and_class,
-    _mod2_rep,
     build_standard,
     discriminant_group,
     dual_class,
     is_primitive,
+    orbit_invariants,
 )
 
 
@@ -79,7 +77,7 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
     out = []
     for x in grp.elements(norm):
         d = x.order()
-        if grp.quadratic(x) == _mod2_rep(Fraction(norm, d * d)):
+        if grp.quadratic_is(x, norm, d * d):
             out.append(OrbitCandidate(norm, d, x))
     return tuple(sorted(out, key=lambda c: c.divisibility))
 
@@ -94,9 +92,7 @@ def _validates(l, cand, coords):
         return False
     if not is_primitive(l, v):
         return False
-    if l.norm(v) != cand.norm:
-        return False
-    return _div_and_class(l, v) == (cand.divisibility, cand.dual_class)
+    return orbit_invariants(l, v) == (cand.norm, cand.divisibility, cand.dual_class)
 
 
 def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | None:
@@ -116,15 +112,15 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | No
     x = cand.dual_class
     if x.order() != d:
         return None
-    # lifts of one class differ by lattice vectors, so this y is canonical
-    dy = [int(d * (c % 1)) for c in grp.lift(x)]
+    dy = grp.lift_multiple(x, d)
     b, rem = divmod(cand.norm - l.norm(dy), 2 * d * d)
     if rem:
         return None
     blocks = _u_blocks(l)
     if len(blocks) < 2:
         raise ValueError("witness search needs two orthogonal hyperbolic planes in the basis")
-    if _validates(l, cand, dy):
+    # d*y has the candidate's norm exactly when b = 0
+    if b == 0 and _validates(l, cand, dy):
         return LatticeVector(dy)
     e, f = blocks[0]
     dy[e] += d

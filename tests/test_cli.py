@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from nlk3 import cli
+from nlk3 import cli, nldiv
 from nlk3.lattice import STANDARD_NAMES, build_standard, smith_normal_form, to_text
 
 
@@ -217,6 +217,42 @@ def test_components_huge_genus_is_cheap(capsys):
     assert [c["label"] for c in result["components"]] == ["P_{0,-2}", "P_{g-1,(g-2)/2}"]
     assert [c["class"] for c in result["components"]] == [[0], [1000001]]
     assert elapsed < 1.0
+
+
+def test_triangular_huge_genus_is_cheap(capsys):
+    # the solutions of x*d_i = d (mod 2g-2) are read off in closed form, not
+    # found by a scan over all 2g-2 residues
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "nl", "triangular", "--g", "10000000", "--d", "0", "--n", "-2")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["result"] == [{"d": 0, "delta": -39999996, "g": 10000000, "mu": 2, "n": -2}]
+    assert elapsed < 1.0
+
+
+def _triangular_commands():
+    for g in (*range(2, 31), 97, 1000):
+        for d in sorted({0, 1, 2, g - 1, 2 * g - 3, 2 * g + 1, -1}):
+            # n = 0 and n = 2 add keys with Delta >= 0, which exit 2
+            for n in (-2, -6, -10, -30, 0, 2):
+                for variant in nldiv.VARIANTS:
+                    yield ("nl", "triangular", "--g", str(g), "--d", str(d), "--n", str(n), "--variant", variant)
+
+
+# sha256 of the exit code and stdout of each command above, in order
+TRIANGULAR_STDOUT_SHA256 = "3d51f2cb1726710051a26cc7a81611416bde565aec225aa88b1f0feb379fc87a"
+
+
+def test_triangular_stdout_sha256(capsys):
+    digest = hashlib.sha256()
+    codes = set()
+    for args in _triangular_commands():
+        code, out, _ = run_cli(capsys, *args)
+        codes.add(code)
+        digest.update(f"{code}\n".encode())
+        digest.update(out.encode())
+    assert codes == {0, 2}
+    assert digest.hexdigest() == TRIANGULAR_STDOUT_SHA256
 
 
 def test_vector_data_rejects_nonnegative_discriminant(capsys):

@@ -1,5 +1,10 @@
 """Lattice core: SNF, determinants, discriminant groups, complements."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, prod
 
@@ -20,6 +25,7 @@ from nlk3.lattice import (
     dual_class,
     from_text,
     is_primitive,
+    orbit_invariants,
     orthogonal_complement,
     rescale,
     smith_normal_form,
@@ -323,6 +329,77 @@ def test_constructor_rejects_bad_gram():
         IntegralLattice([[2]], labels=("a", "b"))
 
 
+def test_lattice_hash_is_the_hash_of_its_fields():
+    a = build_standard("LambdaG", g=9)
+    b = IntegralLattice([list(row) for row in a.gram], list(a.labels))
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.gram, a.labels))
+    assert discriminant_group(b) is discriminant_group(a)
+    assert [f.name for f in dataclasses.fields(IntegralLattice)] == ["gram", "labels"]
+    assert repr(IntegralLattice([[0, 1], [1, 0]])) == "IntegralLattice(gram=((0, 1), (1, 0)), labels=('b1', 'b2'))"
+    assert IntegralLattice([[0, 1], [1, 0]]) != IntegralLattice([[0, 1], [1, 0]], ("e", "f"))
+
+
+def test_lattice_pickled_in_another_process_hashes_equal():
+    # string hashes are salted per process, so a pickled hash would be stale
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    code = "import pickle, sys; from nlk3.lattice import build_standard; sys.stdout.write(pickle.dumps(build_standard('LambdaA1', g=5)).hex())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": seed},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = pickle.loads(bytes.fromhex(proc.stdout))
+    here = build_standard("LambdaA1", g=5)
+    assert loaded == here
+    assert hash(loaded) == hash(here)
+    assert {loaded: 1}[here] == 1
+
+
+def test_non_integral_entries_raise():
+    with pytest.raises(ValueError, match="non-integral entry Fraction\\(5, 2\\)"):
+        IntegralLattice([[Fraction(5, 2), 1], [1, 0]])
+    with pytest.raises(ValueError, match="non-integral entry 2.7"):
+        smith_normal_form([[2.7, 1], [1, 0.5]])
+    with pytest.raises(ValueError, match="non-integral"):
+        det([[1, 0], [0, Fraction(1, 3)]])
+    u = build_standard("U")
+    half = [Fraction(1, 2), 1]
+    for fn in (
+        lambda v: u.pairing(v, [1, 0]),
+        lambda v: u.pairing([1, 0], v),
+        lambda v: dual_class(u, v),
+        lambda v: divisibility(u, v),
+        lambda v: is_primitive(u, v),
+        lambda v: u.vector(v),
+    ):
+        with pytest.raises(ValueError, match="non-integral entry Fraction\\(1, 2\\)"):
+            fn(half)
+        with pytest.raises(ValueError, match="non-integral entry 0.5"):
+            fn([0.5, 1])
+
+
+def test_integral_non_int_entries_are_accepted():
+    l = IntegralLattice([[Fraction(4, 2), True], [True, 0.0]])
+    assert l.gram == ((2, 1), (1, 0))
+    assert all(type(x) is int for row in l.gram for x in row)
+    assert l.pairing([Fraction(4, 2), True], [True, 0]) == 5
+    assert divisibility(l, [Fraction(6, 3), 0]) == 2
+    d, _, _ = smith_normal_form([[Fraction(4, 2), True], [True, 0]])
+    assert all(type(x) is int for row in d for x in row)
+    assert det([[Fraction(4, 2), True], [True, 0]]) == -1
+
+
+def test_rows_may_be_iterators():
+    rows = [[0, 1], [1, 0]]
+    assert IntegralLattice(iter(row) for row in rows).gram == ((0, 1), (1, 0))
+    assert smith_normal_form(iter(row) for row in rows) == smith_normal_form(rows)
+    assert build_standard("U").pairing(iter([1, 2]), iter([3, 4])) == 10
+
+
 def test_build_standard_argument_validation():
     with pytest.raises(ValueError):
         build_standard("LambdaG")
@@ -485,6 +562,67 @@ def test_generator_lifts_map_to_unit_residues():
             assert x.residues == expected
 
 
+def fraction_lifts(l):
+    """(factors, lifts) by the definition: column i of v over d_i, at the d_i > 1."""
+    d, _, v = smith_normal_form(l.gram)
+    positions = [i for i in range(l.rank) if d[i][i] > 1]
+    lifts = tuple(tuple(Fraction(v[r][i], d[i][i]) for r in range(l.rank)) for i in positions)
+    return tuple(d[i][i] for i in positions), lifts
+
+
+def noncyclic_lattice():
+    """U^2 + <-4> + <-6>: discriminant group Z/2 x Z/12, not cyclic."""
+    u = build_standard("U")
+    return direct_sum(direct_sum(u, u), IntegralLattice([[-4, 0], [0, -6]], ("a", "b")))
+
+
+LIFT_CASES = [("E7neg", None), ("LambdaG", 7), ("LambdaA1", 6), ("LambdaA1", 7), ("Uperp", None), ("K3", None), ("noncyclic", None)]
+
+
+def lift_case(name, g):
+    if name == "noncyclic":
+        return noncyclic_lattice()
+    return build_standard(name, g=g) if g else build_standard(name)
+
+
+@pytest.mark.parametrize("name,g", LIFT_CASES)
+def test_lifts_match_fraction_definition(name, g):
+    l = lift_case(name, g)
+    grp = DiscriminantGroup(l)
+    assert "lifts" not in vars(grp)  # built on first read
+    factors, lifts = fraction_lifts(l)
+    assert grp.factors == factors
+    assert grp.lifts == lifts
+    assert grp.lifts is grp.lifts
+    for x in grp.elements():
+        want = tuple(sum((a * lift[i] for a, lift in zip(x.residues, lifts)), Fraction(0)) for i in range(l.rank))
+        assert grp.lift(x) == want
+        assert all(type(c) is Fraction for c in grp.lift(x))
+        for m in (x.order(), 2 * x.order(), -x.order()):
+            assert grp.lift_multiple(x, m) == [int(m * (c % 1)) for c in want]
+
+
+def test_lift_multiple_requires_an_annihilator():
+    grp = discriminant_group(noncyclic_lattice())
+    assert grp.factors == (2, 12)
+    x = grp.element((1, 3))
+    assert x.order() == 4
+    for m in (1, 2, 3, 6):
+        with pytest.raises(ValueError, match="does not annihilate"):
+            grp.lift_multiple(x, m)
+    assert grp.lift_multiple(x, 0) == [0] * 6
+
+
+@pytest.mark.parametrize("name,g", LIFT_CASES)
+def test_quadratic_is_matches_quadratic(name, g):
+    grp = discriminant_group(lift_case(name, g))
+    for x in grp.elements():
+        q = grp.quadratic(x)
+        for den in (1, 2, 3, 4, 9, 12, 144, x.order() ** 2, -4):
+            for num in range(-13, 14):
+                assert grp.quadratic_is(x, num, den) == (q == mod2_rep(Fraction(num, den))), (x, num, den)
+
+
 # ---------------------------------------------------------------------------
 # divisibility and dual classes
 
@@ -527,6 +665,15 @@ def test_dual_class_matches_fraction_route(data):
     v = data.draw(st.lists(st.integers(-6, 6), min_size=l.rank, max_size=l.rank).filter(any))
     d = divisibility(l, v)
     assert dual_class(l, v) == discriminant_group(l).element_of([Fraction(c, d) for c in v])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_orbit_invariants_match_separate_routes(data):
+    name = data.draw(st.sampled_from(["LambdaG", "LambdaA1", "noncyclic"]))
+    l = noncyclic_lattice() if name == "noncyclic" else build_standard(name, g=data.draw(st.integers(2, 40)))
+    v = data.draw(st.lists(st.integers(-6, 6), min_size=l.rank, max_size=l.rank).filter(any))
+    assert orbit_invariants(l, v) == (l.norm(v), divisibility(l, v), dual_class(l, v))
 
 
 def test_divisibility_rejects_zero():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlk3.nldiv import NLKey, delta, mu_coefficient, nl_vector_data, prim_equiv, triangular_decomposition
+from nlk3.nldiv import VARIANTS, NLKey, delta, mu_coefficient, nl_vector_data, prim_equiv, triangular_decomposition
 from nlk3.orbits import nl_component_count
 
 
@@ -143,6 +143,61 @@ def test_triangular_reps_are_inequivalent_and_reproduce_target_t(data):
         assert ti > 0 and t % ti == 0
         for r2, _ in reps[i + 1 :]:
             assert not prim_equiv(r, r2)
+
+
+def reference_triangular(key, variant="d-corrected"):
+    """triangular_decomposition as first shipped: a scan over every d_i in [0, 2g-2)."""
+    dlt = delta(key)
+    if dlt >= 0:
+        raise ValueError(f"key {key} has Delta = {dlt} >= 0: nothing to decompose")
+    g = key.g
+    m = 2 * g - 2
+    t = -dlt
+    out = []
+    x = 1
+    while x * x <= t:
+        if t % (x * x) == 0:
+            ti = t // (x * x)
+            for di in range(m):
+                if (x * di - key.d) % m != 0:
+                    continue
+                num = di * di - ti
+                if num % m != 0:
+                    continue
+                ni = num // m
+                if ni % 2 != 0:
+                    continue
+                rep = NLKey(g, di, ni)
+                mu = mu_coefficient(key, rep, variant=variant)
+                if mu > 0:
+                    out.append((rep, mu))
+        x += 1
+    out.sort(key=lambda pair: (abs(delta(pair[0])), pair[0].d))
+    return tuple(out)
+
+
+def _outcome(fn, key, variant):
+    try:
+        return fn(key, variant=variant)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_triangular_matches_reference_scan():
+    # the closed-form solution of x*d_i = d (mod 2g-2) against the scan, on
+    # keys with d outside [0, 2g-3], odd n and Delta >= 0 (both raise)
+    keys = raised = 0
+    for g in range(2, 41):
+        for d in (*range(-3, 2 * g + 2), 3 * g, -5 * g):
+            for n in (-30, -12, -10, -7, -6, -4, -3, -2, -1, 0, 2):
+                key = NLKey(g, d, n)
+                for variant in VARIANTS:
+                    want = _outcome(reference_triangular, key, variant)
+                    assert _outcome(triangular_decomposition, key, variant) == want, (key, variant)
+                    keys += 1
+                    raised += want[:1] == ("ValueError",)
+    assert keys == 42042
+    assert raised == 1012
 
 
 @pytest.mark.parametrize("g", range(3, 41))

@@ -9,11 +9,14 @@ import pytest
 from nlk3.lattice import (
     STANDARD_NAMES,
     IntegralLattice,
+    LatticeVector,
     build_standard,
+    direct_sum,
     discriminant_group,
     divisibility,
     dual_class,
     is_primitive,
+    smith_normal_form,
 )
 from nlk3.orbits import (
     OrbitCandidate,
@@ -275,6 +278,77 @@ def test_witness_for_every_candidate():
                         failures.append((name, g, norm, cand.divisibility, why))
     assert count == 260
     assert failures == []
+
+
+def _fraction_lift(l, x):
+    """lift(x) by the definition: sum of a_i * (column i of v)/d_i, at the d_i > 1."""
+    d, _, v = smith_normal_form(l.gram)
+    positions = [i for i in range(l.rank) if d[i][i] > 1]
+    out = [Fraction(0)] * l.rank
+    for a, i in zip(x.residues, positions):
+        for r in range(l.rank):
+            out[r] += a * Fraction(v[r][i], d[i][i])
+    return out
+
+
+def reference_find_witness(l, cand):
+    """find_witness with the Fraction start d*(lift % 1) and the separate
+    norm, divisibility and class checks, as first shipped."""
+
+    def validates(coords):
+        v = list(coords)
+        if not any(v) or not is_primitive(l, v) or l.norm(v) != cand.norm:
+            return False
+        return (divisibility(l, v), dual_class(l, v)) == (cand.divisibility, cand.dual_class)
+
+    d = cand.divisibility
+    if d < 1:
+        return None
+    x = cand.dual_class
+    if x.order() != d:
+        return None
+    dy = [int(d * (c % 1)) for c in _fraction_lift(l, x)]
+    b, rem = divmod(cand.norm - l.norm(dy), 2 * d * d)
+    if rem:
+        return None
+    blocks = _u_blocks(l)
+    if validates(dy):
+        return LatticeVector(dy)
+    e, f = blocks[0]
+    dy[e] += d
+    dy[f] += d * b
+    return LatticeVector(dy) if validates(dy) else None
+
+
+def _noncyclic_lattice():
+    # U^2 + <-4> + <-6>: discriminant group Z/2 x Z/12
+    u = build_standard("U")
+    return direct_sum(direct_sum(u, u), IntegralLattice([[-4, 0], [0, -6]], ("a", "b")))
+
+
+def test_witness_matches_fraction_reference():
+    lattices = [build_standard(name, g=g) for name in ("LambdaG", "LambdaA1") for g in range(3, 17)]
+    lattices += [_noncyclic_lattice(), build_standard("Uperp")]
+    count = 0
+    for l in lattices:
+        for norm in (-2, -4, -6, -10, -12, -30):
+            for cand in eichler_candidates(l, norm):
+                v = find_witness(l, cand)
+                assert v is not None
+                assert v == reference_find_witness(l, cand), (l.labels[0], l.rank, norm, cand)
+                count += 1
+    assert count == 398
+
+
+def test_witness_none_cases_match_fraction_reference():
+    # candidates that fail the order or the q-value condition
+    la = build_standard("LambdaA1", g=6)
+    grp = discriminant_group(la)
+    for x in grp.elements():
+        for d in (1, 2, 5, 10):
+            for norm in (-2, -6, -10):
+                cand = OrbitCandidate(norm, d, x)
+                assert find_witness(la, cand) == reference_find_witness(la, cand), cand
 
 
 @pytest.mark.parametrize("g, expr", [(1000, "w + 2*e2 + 498*f2"), (10**6, "w + 2*e2 + 499998*f2")])
