@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._inputs import load_shipped, text_rows
+
 
 @dataclass(frozen=True)
 class P2Class:
@@ -131,11 +133,7 @@ class UnigonalTable:
 def loads_unigonal(text: str) -> UnigonalTable:
     """Parse a pushforward table: lines `name c0 c1 c2`, '#' comments."""
     seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in text_rows(text):
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'name c0 c1 c2', got {len(parts)} fields")
         name = parts[0]
@@ -162,9 +160,7 @@ def dumps_unigonal(table: UnigonalTable) -> str:
 
 
 def default_unigonal_table() -> UnigonalTable:
-    from importlib.resources import files
-
-    return loads_unigonal(files("nlk3").joinpath("data/unigonal.tbl").read_text())
+    return load_shipped("unigonal.tbl", loads_unigonal)
 
 
 _BETA1 = 3 * ZETA

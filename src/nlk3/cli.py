@@ -283,23 +283,19 @@ def _cmd_enum_unigonal(args, parser):
 # siegel subcommands
 
 
-def _exponent_table(args):
-    if getattr(args, "exponents", None) is None:
-        return None
-    return siegel.loads_half_integral(_read_text(args.exponents))
-
-
-def _eisenstein_tables(args):
-    e4 = e6 = None
-    if getattr(args, "e4", None) is not None:
-        e4 = siegel.loads_coeff_table(_read_text(args.e4))
-    if getattr(args, "e6", None) is not None:
-        e6 = siegel.loads_coeff_table(_read_text(args.e6))
-    return e4, e6
+def _basis(args) -> siegel.Weight10Basis:
+    """The weight-10 basis, with each table given by --e4, --e6 or --exponents
+    read from its file."""
+    tables = {}
+    for name, parse in (("e4", siegel.loads_coeff_table), ("e6", siegel.loads_coeff_table), ("exponents", siegel.loads_half_integral)):
+        path = getattr(args, name, None)
+        if path is not None:
+            tables[name] = parse(_read_text(path))
+    return siegel.Weight10Basis(**tables)
 
 
 def _cmd_siegel_chi10(args, parser):
-    series = siegel.chi10(_exponent_table(args), trunc_k=args.trunc_k, trunc_m=args.trunc_m)
+    series = siegel.chi10(_basis(args).exponents, trunc_k=args.trunc_k, trunc_m=args.trunc_m)
     k, l, m = args.index
     result = {"index": [k, l, m], "coefficient": series.coefficient(k, l, m)}
     inputs = {"trunc_k": args.trunc_k, "trunc_m": args.trunc_m, "index": list(args.index)}
@@ -308,8 +304,8 @@ def _cmd_siegel_chi10(args, parser):
 
 
 def _cmd_siegel_e4e6(args, parser):
-    e4, e6 = _eisenstein_tables(args)
-    series = siegel.e4e6(trunc_k=args.trunc_k, trunc_m=args.trunc_m, e4=e4, e6=e6)
+    basis = _basis(args)
+    series = siegel.e4e6(trunc_k=args.trunc_k, trunc_m=args.trunc_m, e4=basis.e4, e6=basis.e6)
     k, l, m = args.index
     result = {"index": [k, l, m], "coefficient": series.coefficient(k, l, m)}
     inputs = {"trunc_k": args.trunc_k, "trunc_m": args.trunc_m, "index": list(args.index)}
@@ -321,8 +317,7 @@ def _cmd_siegel_fit(args, parser):
     observations = dict(args.obs)
     if len(observations) != len(args.obs):
         parser.error("duplicate observation index")
-    e4, e6 = _eisenstein_tables(args)
-    fit = siegel.fit_weight10(observations, exponents=_exponent_table(args), e4=e4, e6=e6)
+    fit = siegel.fit_weight10(observations, basis=_basis(args))
     result = {
         "a": fit.a,
         "b": fit.b,
@@ -335,8 +330,7 @@ def _cmd_siegel_fit(args, parser):
 
 def _cmd_siegel_predict(args, parser):
     fit = siegel.Weight10Fit(args.a, args.b)
-    e4, e6 = _eisenstein_tables(args)
-    value = siegel.predict_nl(fit, args.which, exponents=_exponent_table(args), e4=e4, e6=e6)
+    value = siegel.predict_nl(fit, args.which, basis=_basis(args))
     inputs = {"a": args.a, "b": args.b, "which": args.which}
     _emit(args, "siegel predict", inputs, {"which": args.which, "value": value})
     return 0
@@ -344,8 +338,7 @@ def _cmd_siegel_predict(args, parser):
 
 def _cmd_siegel_independence(args, parser):
     fit = siegel.Weight10Fit(args.a, args.b)
-    e4, e6 = _eisenstein_tables(args)
-    independent = siegel.independence_check(fit, exponents=_exponent_table(args), e4=e4, e6=e6)
+    independent = siegel.independence_check(fit, basis=_basis(args))
     inputs = {"a": args.a, "b": args.b}
     _emit(args, "siegel independence", inputs, {"independent": independent})
     return 0
@@ -382,12 +375,13 @@ def _crit_e4e6():
 
 
 def _crit_fit():
-    fit = siegel.fit_weight10({(1, 1, 1): 1632, (1, 0, 1): 66960})
+    basis = siegel.Weight10Basis()
+    fit = siegel.fit_weight10({(1, 1, 1): 1632, (1, 0, 1): 66960}, basis=basis)
     table = chern.default_unigonal_table()
     counts = chern.unigonal_counts(table)
     got = (
         (fit.a, fit.b),
-        (siegel.predict_nl(fit, "cuspidal"), siegel.predict_nl(fit, "binodal")),
+        (siegel.predict_nl(fit, "cuspidal", basis=basis), siegel.predict_nl(fit, "binodal", basis=basis)),
         counts,
     )
     want = ((Fraction(1), Fraction(-56160)), (Fraction(816), Fraction(33480)), (816, 33480))
@@ -546,6 +540,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default=argparse.SUPPRESS, help="output format")
+    # the data tables behind the two weight-10 forms
+    exponents = argparse.ArgumentParser(add_help=False)
+    exponents.add_argument("--exponents", help="exponent table file")
+    eisenstein = argparse.ArgumentParser(add_help=False)
+    eisenstein.add_argument("--e4", help="weight-4 coefficient table file")
+    eisenstein.add_argument("--e6", help="weight-6 coefficient table file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lat = sub.add_parser("lattice", help="lattice computations")
@@ -595,39 +595,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sie = sub.add_parser("siegel", help="genus-2 modular form arithmetic")
     sie_sub = p_sie.add_subparsers(dest="subcommand", required=True)
-    p = sie_sub.add_parser("chi10", help="cusp form coefficient from the product expansion", parents=[common])
+    weight10 = [common, exponents, eisenstein]
+    p = sie_sub.add_parser("chi10", help="cusp form coefficient from the product expansion", parents=[common, exponents])
     p.add_argument("--trunc-k", type=int, default=2)
     p.add_argument("--trunc-m", type=int, default=2)
     p.add_argument("--index", type=_parse_index, required=True, help="k,l,m")
-    p.add_argument("--exponents", help="exponent table file")
     p.set_defaults(handler=_cmd_siegel_chi10)
-    p = sie_sub.add_parser("e4e6", help="Eisenstein product coefficient", parents=[common])
+    p = sie_sub.add_parser("e4e6", help="Eisenstein product coefficient", parents=[common, eisenstein])
     p.add_argument("--trunc-k", type=int, default=1)
     p.add_argument("--trunc-m", type=int, default=1)
     p.add_argument("--index", type=_parse_index, required=True, help="k,l,m")
-    p.add_argument("--e4", help="weight-4 coefficient table file")
-    p.add_argument("--e6", help="weight-6 coefficient table file")
     p.set_defaults(handler=_cmd_siegel_e4e6)
-    p = sie_sub.add_parser("fit", help="solve observations against the two weight-10 forms", parents=[common])
+    p = sie_sub.add_parser("fit", help="solve observations against the two weight-10 forms", parents=weight10)
     p.add_argument("--obs", action="append", type=_parse_observation, required=True, help="k,l,m=value, repeatable")
-    p.add_argument("--exponents", help="exponent table file")
-    p.add_argument("--e4", help="weight-4 coefficient table file")
-    p.add_argument("--e6", help="weight-6 coefficient table file")
     p.set_defaults(handler=_cmd_siegel_fit)
-    p = sie_sub.add_parser("predict", help="special-divisor degree from a fitted form", parents=[common])
+    p = sie_sub.add_parser("predict", help="special-divisor degree from a fitted form", parents=weight10)
     p.add_argument("--a", type=_parse_rational, required=True)
     p.add_argument("--b", type=_parse_rational, required=True)
     p.add_argument("--which", choices=sorted(siegel.PREDICTIONS), required=True)
-    p.add_argument("--exponents", help="exponent table file")
-    p.add_argument("--e4", help="weight-4 coefficient table file")
-    p.add_argument("--e6", help="weight-6 coefficient table file")
     p.set_defaults(handler=_cmd_siegel_predict)
-    p = sie_sub.add_parser("independence", help="compare the fitted form against the hyperelliptic direction", parents=[common])
+    p = sie_sub.add_parser("independence", help="compare the fitted form against the hyperelliptic direction", parents=weight10)
     p.add_argument("--a", type=_parse_rational, required=True)
     p.add_argument("--b", type=_parse_rational, required=True)
-    p.add_argument("--exponents", help="exponent table file")
-    p.add_argument("--e4", help="weight-4 coefficient table file")
-    p.add_argument("--e6", help="weight-6 coefficient table file")
     p.set_defaults(handler=_cmd_siegel_independence)
 
     p = sub.add_parser("verify", help="run the full reproduction suite", parents=[common])

@@ -16,6 +16,8 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
+from ._inputs import exact_int, text_rows
+
 
 # ---------------------------------------------------------------------------
 # integer matrix helpers
@@ -44,11 +46,7 @@ def _int_row(row) -> tuple[int, ...]:
     row = tuple(row)
     if all(type(x) is int for x in row):
         return row
-    out = tuple(map(int, row))
-    for x, y in zip(row, out):
-        if x != y:
-            raise ValueError(f"non-integral entry {x!r}")
-    return out
+    return tuple(map(exact_int, row))
 
 
 def _freeze(m):
@@ -191,7 +189,8 @@ class LatticeVector:
         return LatticeVector(-x for x in self.coords)
 
     def __rmul__(self, c: int):
-        return LatticeVector(int(c) * x for x in self.coords)
+        c = exact_int(c)
+        return LatticeVector(c * x for x in self.coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -399,8 +398,8 @@ class DiscElement:
     residues: tuple[int, ...]
 
     def __init__(self, factors, residues):
-        factors = tuple(int(d) for d in factors)
-        residues = tuple(int(a) % d for a, d in zip(residues, factors, strict=True))
+        factors = _int_row(factors)
+        residues = tuple(a % d for a, d in zip(_int_row(residues), factors, strict=True))
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "residues", residues)
 
@@ -416,7 +415,8 @@ class DiscElement:
         return self + (-other)
 
     def __rmul__(self, c: int):
-        return DiscElement(self.factors, (int(c) * a for a in self.residues))
+        c = exact_int(c)
+        return DiscElement(self.factors, (c * a for a in self.residues))
 
     def is_zero(self) -> bool:
         return not any(self.residues)
@@ -626,22 +626,17 @@ def to_text(l: IntegralLattice) -> str:
 
 def from_text(text: str) -> IntegralLattice:
     """Parse the text format; '#' starts a comment, and errors name file lines."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
-    if not lines or not lines[0][1].startswith("rank "):
+    lines = list(text_rows(text))
+    if not lines or lines[0][1][0] != "rank" or len(lines[0][1]) < 2:
         raise ValueError(f"line {lines[0][0] if lines else 1}: expected 'rank N' header")
     try:
-        n = int(lines[0][1].split()[1])
-    except (IndexError, ValueError):
+        n = int(lines[0][1][1])
+    except ValueError:
         raise ValueError(f"line {lines[0][0]}: malformed rank header") from None
     if n < 0 or len(lines) < n + 1:
         raise ValueError(f"expected {n} Gram rows after the header")
     gram = []
-    for lineno, line in lines[1 : n + 1]:
-        parts = line.split()
+    for lineno, parts in lines[1 : n + 1]:
         if len(parts) != n:
             raise ValueError(f"line {lineno}: expected {n} entries, got {len(parts)}")
         try:
@@ -650,8 +645,8 @@ def from_text(text: str) -> IntegralLattice:
             raise ValueError(f"line {lineno}: non-integer entry") from None
     labels = None
     if len(lines) > n + 1:
-        lineno, line = lines[n + 1]
-        labels = tuple(line.split())
+        lineno, fields = lines[n + 1]
+        labels = tuple(fields)
         if len(labels) != n:
             raise ValueError(f"line {lineno}: expected {n} labels, got {len(labels)}")
     if len(lines) > n + 2:

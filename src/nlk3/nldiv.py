@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from ._inputs import exact_int
+
 
 @dataclass(frozen=True)
 class NLKey:
@@ -24,7 +26,7 @@ class NLKey:
     n: int
 
     def __init__(self, g, d, n):
-        g, d, n = int(g), int(d), int(n)
+        g, d, n = exact_int(g), exact_int(d), exact_int(n)
         if g < 2:
             raise ValueError("genus must be at least 2")
         object.__setattr__(self, "g", g)

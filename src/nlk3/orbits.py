@@ -139,7 +139,7 @@ def _canon_locus(locus: str) -> str:
     s = str(locus).strip().lower().replace("_", "").replace("{", "").replace("}", "").replace(",", "").replace("-", "")
     if s in ("nodal", "node"):
         return "nodal"
-    if s in ("a11", "oneplusa1", "a1,1"):
+    if s in ("a11", "oneplusa1"):
         return "a11"
     if s == "a2":
         return "a2"
@@ -176,33 +176,25 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     else:
         l = build_standard("LambdaA1", g=g)
         cands = eichler_candidates(l, -2 if locus == "a11" else -6)
-    # div(w) = 2g-2 and div(s1) = 2: the classes of w/(2g-2) and s1/2
+    # div(w) = 2g-2 and div(s1) = 2: the classes of w/(2g-2) and s1/2.  A
+    # candidate's divisibility is the order of its class, so the class alone
+    # decides the label.
     pi = dual_class(l, [int(s == "w") for s in l.labels])
     w2 = None if locus == "nodal" else dual_class(l, [int(s == "s1") for s in l.labels])
-    if locus == "a2":
-        cands = tuple(c for c in cands if c.divisibility == 2 and c.dual_class == w2)
+    zero = 0 * pi
+    if locus == "nodal":
+        labels = {zero: "P_{0,-2}", (g - 1) * pi: "P_{g-1,(g-2)/2}"}
+    elif locus == "a11":
+        labels = {zero: "H'", (g - 1) * pi: "H''", (g - 1) * pi + w2: "H'''"}
+    else:
+        labels = {w2: "H_{A_2}"}
+        cands = tuple(c for c in cands if c.dual_class == w2)
 
     components = []
     for cand in cands:
-        x = cand.dual_class
-        if locus == "nodal":
-            if cand.divisibility == 1 and x.is_zero():
-                label = "P_{0,-2}"
-            elif cand.divisibility == 2 and x == (g - 1) * pi:
-                label = "P_{g-1,(g-2)/2}"
-            else:  # impossible by the discriminant arithmetic; keep loud
-                raise RuntimeError(f"unclassified nodal candidate {cand}")
-        elif locus == "a11":
-            if cand.divisibility == 1 and x.is_zero():
-                label = "H'"
-            elif cand.divisibility == 2 and x == (g - 1) * pi:
-                label = "H''"
-            elif cand.divisibility == 2 and x == (g - 1) * pi + w2:
-                label = "H'''"
-            else:
-                raise RuntimeError(f"unclassified a11 candidate {cand}")
-        else:
-            label = "H_{A_2}"
+        label = labels.get(cand.dual_class)
+        if label is None:  # impossible by the discriminant arithmetic; keep loud
+            raise RuntimeError(f"unclassified {locus} candidate {cand}")
         if with_witnesses:
             cand = replace(cand, witness=find_witness(l, cand))
         components.append(Component(label, cand))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
+from ._inputs import exact_int, load_shipped, text_rows
+
 
 def default_trunc_l(trunc_k: int, trunc_m: int) -> int:
     """|l| window wide enough for truncated products: every term retained by
@@ -163,7 +165,7 @@ class HalfIntegralTable:
     def __init__(self, values):
         vals = {}
         for m, c in values.items():
-            m, c = int(m), int(c)
+            m, c = exact_int(m), exact_int(c)
             if m < -1:
                 raise ValueError(f"exponent c({m}) below the pole order")
             if c != 0:
@@ -184,11 +186,7 @@ class HalfIntegralTable:
 def loads_half_integral(text: str) -> HalfIntegralTable:
     """Parse an exponent table: lines `m value`, '#' comments."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in text_rows(text):
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'm value', got {len(parts)} fields")
         try:
@@ -209,9 +207,7 @@ def dumps_half_integral(table: HalfIntegralTable) -> str:
 
 
 def default_chi10_exponents() -> HalfIntegralTable:
-    from importlib.resources import files
-
-    return loads_half_integral(files("nlk3").joinpath("data/chi10_exponents.tbl").read_text())
+    return load_shipped("chi10_exponents.tbl", loads_half_integral)
 
 
 def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int = 2) -> GenusTwoSeries:
@@ -263,11 +259,7 @@ def loads_coeff_table(text: str) -> GenusTwoSeries:
     complete list of nonzero coefficients within them.
     """
     canonical = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in text_rows(text):
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'k l m value', got {len(parts)} fields")
         try:
@@ -307,18 +299,12 @@ def dumps_coeff_table(series: GenusTwoSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_data_table(name: str) -> GenusTwoSeries:
-    from importlib.resources import files
-
-    return loads_coeff_table(files("nlk3").joinpath(f"data/{name}").read_text())
-
-
 def e4_series() -> GenusTwoSeries:
-    return _load_data_table("e4.tbl")
+    return load_shipped("e4.tbl", loads_coeff_table)
 
 
 def e6_series() -> GenusTwoSeries:
-    return _load_data_table("e6.tbl")
+    return load_shipped("e6.tbl", loads_coeff_table)
 
 
 def e4e6(trunc_k: int = 1, trunc_m: int = 1, e4: GenusTwoSeries | None = None, e6: GenusTwoSeries | None = None) -> GenusTwoSeries:
@@ -339,6 +325,27 @@ def e4e6(trunc_k: int = 1, trunc_m: int = 1, e4: GenusTwoSeries | None = None, e
 
 
 @dataclass(frozen=True)
+class Weight10Basis:
+    """The data tables behind the two weight-10 forms E4E6 and chi10: the
+    product exponents and the E4 and E6 coefficient series.  A table not
+    given is the shipped one; fit_weight10, predict_nl and independence_check
+    use the shipped basis when given none."""
+
+    exponents: HalfIntegralTable
+    e4: GenusTwoSeries
+    e6: GenusTwoSeries
+
+    def __init__(self, exponents: HalfIntegralTable | None = None, e4: GenusTwoSeries | None = None, e6: GenusTwoSeries | None = None):
+        object.__setattr__(self, "exponents", default_chi10_exponents() if exponents is None else exponents)
+        object.__setattr__(self, "e4", e4_series() if e4 is None else e4)
+        object.__setattr__(self, "e6", e6_series() if e6 is None else e6)
+
+    def series(self, trunc_k: int, trunc_m: int) -> tuple[GenusTwoSeries, GenusTwoSeries]:
+        """(E4E6, chi10) on the window (trunc_k, trunc_m)."""
+        return e4e6(trunc_k, trunc_m, self.e4, self.e6), chi10(self.exponents, trunc_k, trunc_m)
+
+
+@dataclass(frozen=True)
 class Weight10Fit:
     """Coefficients of a form a * E4E6 + b * chi10."""
 
@@ -350,13 +357,7 @@ class Weight10Fit:
         object.__setattr__(self, "b", Fraction(b))
 
 
-def _basis_series(trunc_k, trunc_m, exponents, e4, e6):
-    eis = e4e6(trunc_k, trunc_m, e4, e6)
-    cusp = chi10(exponents, trunc_k, trunc_m)
-    return eis, cusp
-
-
-def fit_weight10(observations, exponents: HalfIntegralTable | None = None, e4: GenusTwoSeries | None = None, e6: GenusTwoSeries | None = None) -> Weight10Fit:
+def fit_weight10(observations, basis: Weight10Basis | None = None) -> Weight10Fit:
     """Solve coefficient observations for a form a * E4E6 + b * chi10.
 
     The first two observations in index order fix (a, b) by a 2x2 solve; any
@@ -367,7 +368,7 @@ def fit_weight10(observations, exponents: HalfIntegralTable | None = None, e4: G
         raise ValueError("need at least two observations")
     trunc_k = max(1, max(k for (k, _, _), _ in obs))
     trunc_m = max(1, max(m for (_, _, m), _ in obs))
-    eis, cusp = _basis_series(trunc_k, trunc_m, exponents, e4, e6)
+    eis, cusp = (Weight10Basis() if basis is None else basis).series(trunc_k, trunc_m)
     (i1, v1), (i2, v2) = obs[0], obs[1]
     e1, x1 = eis.coefficient(*i1), cusp.coefficient(*i1)
     e2, x2 = eis.coefficient(*i2), cusp.coefficient(*i2)
@@ -391,7 +392,7 @@ PREDICTIONS = {
 }
 
 
-def predict_nl(fit: Weight10Fit, which: str, exponents: HalfIntegralTable | None = None, e4: GenusTwoSeries | None = None, e6: GenusTwoSeries | None = None) -> Fraction:
+def predict_nl(fit: Weight10Fit, which: str, basis: Weight10Basis | None = None) -> Fraction:
     """Special-divisor degree read off the fitted form.
 
     Coefficients at the rank-2 indices count singular fibers twice, so the
@@ -401,7 +402,7 @@ def predict_nl(fit: Weight10Fit, which: str, exponents: HalfIntegralTable | None
     if which not in PREDICTIONS:
         raise ValueError(f"unknown prediction {which!r}; valid: {', '.join(sorted(PREDICTIONS))}")
     idx = PREDICTIONS[which]
-    eis, cusp = _basis_series(1, 1, exponents, e4, e6)
+    eis, cusp = (Weight10Basis() if basis is None else basis).series(1, 1)
     value = fit.a * eis.coefficient(*idx) + fit.b * cusp.coefficient(*idx)
     if which in ("cuspidal", "binodal"):
         return value / 2
@@ -414,11 +415,13 @@ def predict_nl(fit: Weight10Fit, which: str, exponents: HalfIntegralTable | None
 HYPERELLIPTIC_NL = (864, 7656)
 
 
-def independence_check(fit: Weight10Fit, exponents: HalfIntegralTable | None = None, e4: GenusTwoSeries | None = None, e6: GenusTwoSeries | None = None) -> bool:
+def independence_check(fit: Weight10Fit, basis: Weight10Basis | None = None) -> bool:
     """True iff the fitted form's (cuspidal, binodal) vector is not
     proportional to the hyperelliptic one."""
     if fit.a == 0 and fit.b == 0:
         raise ValueError("zero form has no direction")
-    cuspidal = predict_nl(fit, "cuspidal", exponents, e4, e6)
-    binodal = predict_nl(fit, "binodal", exponents, e4, e6)
+    if basis is None:
+        basis = Weight10Basis()
+    cuspidal = predict_nl(fit, "cuspidal", basis)
+    binodal = predict_nl(fit, "binodal", basis)
     return cuspidal * HYPERELLIPTIC_NL[1] != binodal * HYPERELLIPTIC_NL[0]

@@ -3,13 +3,17 @@
 import hashlib
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 import time
+from collections import Counter
+from importlib import import_module, resources
 
 import pytest
 
-from nlk3 import cli, nldiv
+import nlk3
+from nlk3 import cli, nldiv, siegel
 from nlk3.lattice import STANDARD_NAMES, build_standard, smith_normal_form, to_text
 
 
@@ -324,6 +328,81 @@ def test_siegel_e4e6_beyond_window(capsys):
     assert "beyond" in json.loads(err)["error"]
 
 
+def _window_indices(trunc_k, trunc_m, trunc_l):
+    for k in range(trunc_k + 1):
+        for m in range(trunc_m + 1):
+            for l in range(-trunc_l, trunc_l + 1):
+                yield f"{k},{l},{m}"
+
+
+def _siegel_commands():
+    # no chi10 window here reads the exponent c(8): the largest argument
+    # 4rt - s^2 of a (trunc_k, trunc_m) product is at most 4
+    for trunc_k, trunc_m in (*((1, m) for m in range(1, 7)), (2, 1), (2, 2), (3, 1)):
+        for index in _window_indices(trunc_k, trunc_m, 2 * max(trunc_k, trunc_m) + 2):
+            yield ("siegel", "chi10", "--trunc-k", str(trunc_k), "--trunc-m", str(trunc_m), "--index", index)
+    for trunc_k in (0, 1):
+        for trunc_m in (0, 1):
+            for index in _window_indices(trunc_k, trunc_m, 1):
+                yield ("siegel", "e4e6", "--trunc-k", str(trunc_k), "--trunc-m", str(trunc_m), "--index", index)
+    for obs in (
+        ("1,1,1=1632", "1,0,1=66960"),
+        ("0,0,0=1", "1,1,1=57792", "1,0,1=-45360"),
+        ("1,0,1=7", "1,1,1=1/3"),
+    ):
+        args = ("siegel", "fit", *(f"--obs={o}" for o in obs))
+        yield args
+        yield ("--format", "tsv", *args)
+    for a, b in (("1", "-56160"), ("3", "7/2")):
+        for which in ("cuspidal", "binodal", "hodge-disc", "hodge-sq"):
+            yield ("siegel", "predict", f"--a={a}", f"--b={b}", "--which", which)
+        yield ("--format", "tsv", "siegel", "predict", f"--a={a}", f"--b={b}", "--which", "binodal")
+    for a, b in (("1", "-56160"), ("1", "-481646592/9384")):
+        yield ("siegel", "independence", f"--a={a}", f"--b={b}")
+        yield ("--format", "tsv", "siegel", "independence", f"--a={a}", f"--b={b}")
+    yield ("--format", "tsv", "siegel", "chi10", "--index", "1,1,2")
+    yield ("--format", "tsv", "siegel", "e4e6", "--index", "1,0,1")
+
+
+# sha256 of the exit code and stdout of each command above, in order
+SIEGEL_STDOUT_SHA256 = "8a3a9b9af4f85afd0111708011e34b445d36d1678fb1dd81e395df9e47d4dc6b"
+
+
+def test_siegel_stdout_sha256(capsys):
+    digest = hashlib.sha256()
+    for args in _siegel_commands():
+        code, out, _ = run_cli(capsys, *args)
+        digest.update(f"{code}\n".encode())
+        digest.update(out.encode())
+    assert digest.hexdigest() == SIEGEL_STDOUT_SHA256
+
+
+@pytest.mark.parametrize(
+    "flag,table,edit,command",
+    [
+        ("--exponents", "chi10_exponents.tbl", ("0 20", "0 22"), ("siegel", "chi10", "--index", "1,0,2")),
+        ("--e4", "e4.tbl", ("1 0 1 30240", "1 0 1 30241"), ("siegel", "e4e6", "--index", "1,0,1")),
+        ("--e6", "e6.tbl", ("1 0 1 166320", "1 0 1 166322"), ("siegel", "e4e6", "--index", "1,0,1")),
+        ("--e4", "e4.tbl", ("1 0 1 30240", "1 0 1 30241"), ("siegel", "fit", "--obs", "1,1,1=1632", "--obs", "1,0,1=66960")),
+        ("--e6", "e6.tbl", ("1 0 1 166320", "1 0 1 166322"), ("siegel", "predict", "--a", "1", "--b=-56160", "--which", "binodal")),
+        ("--e4", "e4.tbl", ("1 0 1 30240", "1 0 1 30241"), ("siegel", "independence", "--a", "1", "--b=-481646592/9384")),
+    ],
+)
+def test_siegel_table_flags_read_the_given_file(tmp_path, capsys, flag, table, edit, command):
+    shipped = (resources.files("nlk3") / "data" / table).read_text()
+    old, new = edit
+    assert shipped.count(f"\n{old}\n") == 1
+    copy, edited = tmp_path / "copy.tbl", tmp_path / "edited.tbl"
+    copy.write_text(shipped)
+    edited.write_text(shipped.replace(f"\n{old}\n", f"\n{new}\n"))
+    default = run_cli(capsys, *command)
+    assert default[0] == 0
+    assert run_cli(capsys, *command, flag, str(copy)) == default
+    code, out, _ = run_cli(capsys, *command, flag, str(edited))
+    assert code == 0
+    assert json.loads(out)["result"] != json.loads(default[1])["result"]
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -387,6 +466,17 @@ def test_verify_mismatch_exits_three(capsys, monkeypatch):
     assert row["pass"] is False
 
 
+def test_verify_fit_criterion_parses_each_siegel_table_once(capsys, monkeypatch):
+    parsed = Counter()
+    for name in ("loads_half_integral", "loads_coeff_table"):
+        real = getattr(siegel, name)
+        monkeypatch.setattr(siegel, name, lambda text, real=real, name=name: parsed.update([name]) or real(text))
+    code, out, _ = run_cli(capsys, "verify", "--criterion", "5")
+    assert code == 0
+    assert json.loads(out)["result"][0]["pass"] is True
+    assert parsed == {"loads_half_integral": 1, "loads_coeff_table": 2}
+
+
 def test_verify_criterion_out_of_range(capsys):
     code, _, _ = run_cli(capsys, "verify", "--criterion", "12")
     assert code == 1
@@ -414,6 +504,18 @@ def test_parser_is_reused_across_calls(capsys):
     assert run_cli(capsys, "nl", "components", "--g", "6")[0] == 1  # usage error in between
     assert run_cli(capsys, "lattice", "disc", "--standard", "U", "--format", "tsv")[0] == 0
     assert run_cli(capsys, *args) == first
+
+
+def test_caches_are_bounded():
+    maxsizes = {}
+    for info in pkgutil.iter_modules(nlk3.__path__):
+        module = import_module(f"nlk3.{info.name}")
+        for owner in (module, *(c for c in vars(module).values() if isinstance(c, type))):
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_parameters"):
+                    maxsizes[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert {"lattice.discriminant_group", "cli._build_parser"} <= set(maxsizes)
+    assert all(size is not None for size in maxsizes.values()), maxsizes
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from nlk3.lattice import (
     DiscriminantGroup,
     STANDARD_NAMES,
     IntegralLattice,
+    LatticeVector,
     build_standard,
     det,
     direct_sum,
@@ -31,6 +32,8 @@ from nlk3.lattice import (
     smith_normal_form,
     to_text,
 )
+from nlk3.nldiv import NLKey
+from nlk3.siegel import HalfIntegralTable
 
 
 def mat_mul(a, b):
@@ -391,6 +394,25 @@ def test_integral_non_int_entries_are_accepted():
     d, _, _ = smith_normal_form([[Fraction(4, 2), True], [True, 0]])
     assert all(type(x) is int for row in d for x in row)
     assert det([[Fraction(4, 2), True], [True, 0]]) == -1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: x * LatticeVector([1, 2]),
+        lambda x: discriminant_group(build_standard("LambdaG", g=4)).element((x,)),
+        lambda x: x * discriminant_group(build_standard("LambdaG", g=4)).element((1,)),
+        lambda x: NLKey(x, 1, -2),
+        lambda x: HalfIntegralTable({-1: 2, 0: x}),
+    ],
+    ids=["vector-scalar", "disc-residue", "disc-scalar", "nl-key", "exponent-table"],
+)
+def test_scalars_are_not_truncated(build):
+    assert build(Fraction(6, 2)) == build(3.0) == build(3)
+    with pytest.raises(ValueError, match=r"non-integral entry Fraction\(5, 2\)"):
+        build(Fraction(5, 2))
+    with pytest.raises(ValueError, match="non-integral entry 2.5"):
+        build(2.5)
 
 
 def test_rows_may_be_iterators():

@@ -1,15 +1,19 @@
 """Tests for truncated genus-2 modular form arithmetic."""
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlk3 import siegel
 from nlk3.chern import default_unigonal_table, unigonal_counts
 from nlk3.siegel import (
     GenusTwoSeries,
     HalfIntegralTable,
     HYPERELLIPTIC_NL,
+    Weight10Basis,
     Weight10Fit,
     binomial_pow,
     chi10,
@@ -146,7 +150,7 @@ def test_binomial_pow_inverse_identity(c):
 
 def test_shipped_exponents():
     t = default_chi10_exponents()
-    assert [t.c(m) for m in range(-1, 9)] == [2, 20, 0, 0, -128, 216, 0, 0, -1026, 1618]
+    assert [t.c(m) for m in range(-1, 9)] == [2, 20, 0, 0, -128, 216, 0, 0, -1026, 1616]
     assert t.c(-7) == 0
     assert t.support_max == 8
 
@@ -230,6 +234,23 @@ def test_chi10_exhausts_shipped_table():
     # factors at (r, t) = (2, 2) need exponents beyond the shipped support
     with pytest.raises(ValueError, match="exhausted.*12"):
         chi10(trunc_k=3, trunc_m=3)
+
+
+# the reference row k = 1 of the (1, 6) window reads only c(-1) and c(0)
+@pytest.mark.parametrize(
+    "window", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)], ids=lambda w: f"{w[0]}x{w[1]}"
+)
+def test_chi10_maass_relation(window):
+    # chi10 is the Maass lift of its first Fourier-Jacobi coefficient:
+    # a(k, l, m) = sum over d | (k, l, m) of d^9 a(1, l/d, km/d^2)
+    ref = chi10(trunc_k=1, trunc_m=6)
+    x = chi10(trunc_k=window[0], trunc_m=window[1])
+    for k in range(x.trunc_k + 1):
+        for m in range(x.trunc_m + 1):
+            for l in range(-x.trunc_l, x.trunc_l + 1):
+                h = gcd(k, l, m)
+                want = sum(d**9 * ref.coefficient(1, l // d, k * m // (d * d)) for d in range(1, h + 1) if h % d == 0)
+                assert x.coefficient(k, l, m) == want, (k, l, m)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +407,35 @@ def test_independence_boundary():
     b = Fraction(-481646592, 9384)
     assert independence_check(Weight10Fit(1, b)) is False
     assert independence_check(Weight10Fit(3, 3 * b)) is False
+
+
+def test_weight10_basis_defaults_to_shipped_tables():
+    basis = Weight10Basis()
+    assert basis == Weight10Basis(default_chi10_exponents(), e4_series(), e6_series())
+    assert basis.series(1, 1) == (e4e6(1, 1), chi10(trunc_k=1, trunc_m=1))
+
+
+def test_fit_and_predictions_read_the_given_basis():
+    obs = {(1, 1, 1): 1632, (1, 0, 1): 66960}
+    e4 = loads_coeff_table(dumps_coeff_table(e4_series()).replace("1 0 1 30240", "1 0 1 30241"))
+    basis = Weight10Basis(e4=e4)
+    fit = fit_weight10(obs, basis=basis)
+    assert fit != fit_weight10(obs)
+    eis, cusp = basis.series(1, 1)
+    for idx, value in obs.items():
+        assert fit.a * eis.coefficient(*idx) + fit.b * cusp.coefficient(*idx) == value
+    assert predict_nl(fit, "binodal", basis=basis) == 33480
+    assert predict_nl(fit, "cuspidal", basis=basis) == 816
+    assert independence_check(fit, basis=basis) is True
+
+
+def test_independence_check_parses_each_table_once(monkeypatch):
+    parsed = Counter()
+    for name in ("loads_half_integral", "loads_coeff_table"):
+        real = getattr(siegel, name)
+        monkeypatch.setattr(siegel, name, lambda text, real=real, name=name: parsed.update([name]) or real(text))
+    assert independence_check(Weight10Fit(1, -56160)) is True
+    assert parsed == {"loads_half_integral": 1, "loads_coeff_table": 2}
 
 
 def test_independence_rejects_zero_form():
