@@ -8,10 +8,10 @@ base plane; everything is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from ._inputs import load_shipped, text_rows
+from ._inputs import exact_int, load_shipped, text_rows
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,10 @@ class SurfaceChernData:
     alpha_c1: int
     c1sq: int
     c2: int
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, exact_int(getattr(self, f.name)))
 
 
 def net_invariants(data: SurfaceChernData) -> tuple[int, int, int]:

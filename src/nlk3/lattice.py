@@ -209,6 +209,10 @@ class IntegralLattice:
     gram: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
+    # the Gram blocks of an orthogonal sum whose discriminant group may be
+    # built from theirs; build_standard sets it, every other lattice has None
+    _summands = None
+
     def __init__(self, gram, labels=None):
         g = _freeze(gram)
         n = len(g)
@@ -239,7 +243,8 @@ class IntegralLattice:
         return self._hash
 
     def __reduce__(self):
-        # string hashes differ between processes, so _hash is not pickled
+        # string hashes differ between processes, so _hash is not pickled;
+        # nor is _summands, so a copy takes the full Smith normal form route
         return IntegralLattice, (self.gram, self.labels)
 
     @property
@@ -289,7 +294,7 @@ def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
 
 
 def rescale(l: IntegralLattice, t: int) -> IntegralLattice:
-    t = int(t)
+    t = exact_int(t)
     if t == 0:
         raise ValueError("rescale factor must be nonzero")
     return IntegralLattice([[t * x for x in row] for row in l.gram], l.labels)
@@ -365,7 +370,7 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
     if name in ("LambdaG", "LambdaA1"):
         if g is None:
             raise ValueError(f"{name} requires the genus g")
-        g = int(g)
+        g = exact_int(g)
         if g < 2:
             raise ValueError("genus must be at least 2")
     elif g is not None:
@@ -377,7 +382,12 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
     if g is not None:
         w = (((-(2 * g - 2),),), ("w",))
         blocks = (w, *blocks)
-    return IntegralLattice(*_block_diagonal(blocks))
+    lat = IntegralLattice(*_block_diagonal(blocks))
+    # at g = 2 the pivot w^2 = -2 ties the 2-pivots of E8, and the full Smith
+    # normal form's generator (w - 4*t1 - ...)/2 is not the summand one, w/2
+    if g != 2:
+        object.__setattr__(lat, "_summands", tuple(gram for gram, _ in blocks))
+    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +435,44 @@ class DiscElement:
         return lcm(1, *(d // gcd(a, d) for a, d in zip(self.residues, self.factors)))
 
 
+def _snf_generators(gram) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
+    """(d_i, v_i, row i of u, G.v_i) for each invariant factor d_i > 1 of the
+    Smith normal form u*G*v = d of a Gram matrix, v_i being column i of v."""
+    d, u, v = smith_normal_form(gram)
+    n = len(d)
+    if any(d[i][i] == 0 for i in range(n)):
+        raise ValueError("degenerate lattice has no discriminant group")
+    out = []
+    for i in range(n):
+        if d[i][i] > 1:
+            col = tuple(row[i] for row in v)
+            out.append((d[i][i], col, u[i], tuple(_mat_vec(gram, col))))
+    return tuple(out)
+
+
+# the constant summands (U, E8neg, E7neg) are factored once per process
+_block_generators = lru_cache(maxsize=8)(_snf_generators)
+
+
+def _summand_generators(blocks) -> list[tuple[int, tuple, tuple, tuple]]:
+    """_snf_generators of an orthogonal sum of Gram blocks, from the blocks'
+    own Smith normal forms: each block's vectors padded out to the whole rank
+    at its offset (G is block diagonal, so G.v_i pads too), stable-sorted by
+    invariant factor."""
+    n = sum(map(len, blocks))
+    out = []
+    offset = 0
+    for block in blocks:
+        # a rank-1 block <a> is its own Smith normal form: not worth a cache slot
+        local = _snf_generators(block) if len(block) == 1 else _block_generators(block)
+        head, tail = (0,) * offset, (0,) * (n - offset - len(block))
+        for f, *vecs in local:
+            out.append((f, *((*head, *x, *tail) for x in vecs)))
+        offset += len(block)
+    out.sort(key=lambda t: t[0])
+    return out
+
+
 class DiscriminantGroup:
     """L-dual modulo L for a nondegenerate even lattice L.
 
@@ -435,24 +483,31 @@ class DiscriminantGroup:
     group) every lift is an integer vector over D, and the forms are evaluated
     on residues through the generator Gram B_ij = (v_i.G.v_j)/(d_i*d_j),
     stored as integers over N = D^2.
+
+    A lattice from build_standard (but LambdaG/LambdaA1 at g = 2) is an
+    orthogonal sum whose group is the sum of its summands' groups.  Its
+    generators come from the summands' own Smith normal forms, which give
+    exactly the nontrivial (d_i, v-columns, u-rows) of the full one: the full
+    elimination pivots the lone entry -(2g-2) last and runs the same steps
+    for every g >= 3.  Every other lattice takes the full Smith normal form,
+    whose global pivot order may interleave its summands.
     """
 
     def __init__(self, lattice: IntegralLattice):
-        d, u, v = smith_normal_form(lattice.gram)
-        n = lattice.rank
-        if any(d[i][i] == 0 for i in range(n)):
-            raise ValueError("degenerate lattice has no discriminant group")
+        if lattice._summands is None:
+            gens = _snf_generators(lattice.gram)
+        else:
+            gens = _summand_generators(lattice._summands)
         self.lattice = lattice
-        self._u = u
-        self._positions = tuple(i for i in range(n) if d[i][i] > 1)
-        self.factors = tuple(d[i][i] for i in self._positions)
-        self._cols = tuple(tuple(v[r][i] for r in range(n)) for i in self._positions)
+        self.factors = tuple(f for f, _, _, _ in gens)
+        self._cols = tuple(col for _, col, _, _ in gens)
+        # row i of u, applied to G.y, reads off the i-th residue of y
+        self._rows = tuple(row for _, _, row, _ in gens)
         self._exponent = self.factors[-1] if self.factors else 1
         # d_i | d_j for i < j, so every d_i*d_j divides N
         self._den = self._exponent**2
-        gcols = [_mat_vec(lattice.gram, c) for c in self._cols]
         self._gram = tuple(
-            tuple(_dot(ci, gcj) * (self._den // (fi * fj)) for gcj, fj in zip(gcols, self.factors))
+            tuple(_dot(ci, gcj) * (self._den // (fi * fj)) for fj, _, _, gcj in gens)
             for ci, fi in zip(self._cols, self.factors)
         )
 
@@ -496,7 +551,7 @@ class DiscriminantGroup:
 
     def _class_of(self, gy) -> DiscElement:
         """Class of the dual vector y, given the integer vector G.y."""
-        return DiscElement(self.factors, (_dot(self._u[i], gy) for i in self._positions))
+        return DiscElement(self.factors, (_dot(row, gy) for row in self._rows))
 
     def _lift_numerators(self, x: DiscElement) -> list[int]:
         """D * lift(x), an integer vector: the sum of a_i * (D/d_i) * v_i."""

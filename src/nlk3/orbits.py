@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ._inputs import exact_int
 from .lattice import (
     DiscElement,
     IntegralLattice,
@@ -68,7 +69,7 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
     finds every class x with ord(x) = d and q(x) = norm/d^2 mod 2Z.
     Deterministic order: d ascending, then class residues lexicographic.
     """
-    norm = int(norm)
+    norm = exact_int(norm)
     if norm == 0 or norm % 2 != 0:
         raise ValueError("norm must be a nonzero even integer")
     if len(_u_blocks(l)) < 2:
@@ -157,16 +158,18 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     a2     norm -6 vectors w = t1 + 2v supporting a cuspidal configuration:
            the single component H_{A_2}.  Only divisibility-2 candidates of
            class w2 = [s1/2] are counted (lift - s1/2 in L, i.e. the doubled
-           lift is congruent to s1 mod 2L): divisibility-6 candidates (which
-           exist for 3 | g-1, realized by honest vectors) always span a
-           non-saturated configuration, i.e. the surface carries a strictly
-           larger Picard sublattice, and are booked under deeper loci rather
-           than as new A2 components.
+           lift is congruent to s1 mod 2L).  Divisibility-6 candidates,
+           realized by honest vectors, exist exactly when g = 4 mod 9: with
+           g - 1 = 3t, the 3-part of q(x) = -1/6 needs t = 1 mod 3.  They
+           are taken to span a non-saturated configuration, i.e. the surface
+           carries a strictly larger Picard sublattice, and are booked under
+           deeper loci rather than as new A2 components; nothing here
+           computes that saturation.
 
     With with_witnesses every component carries the closed-form witness of
     find_witness, which exists for every Eichler candidate.
     """
-    g = int(g)
+    g = exact_int(g)
     if g < 3:
         raise ValueError("genus must be at least 3")
     locus = _canon_locus(locus)
@@ -203,4 +206,4 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
 
 def locus_lattice(g: int, locus: str) -> IntegralLattice:
     """The period lattice in which a locus's vectors live."""
-    return build_standard("LambdaG" if _canon_locus(locus) == "nodal" else "LambdaA1", g=int(g))
+    return build_standard("LambdaG" if _canon_locus(locus) == "nodal" else "LambdaA1", g=g)

@@ -35,13 +35,15 @@ class GenusTwoSeries:
     trunc_l: int
 
     def __init__(self, coeffs, trunc_k: int, trunc_m: int, trunc_l: int | None = None):
-        if trunc_l is None:
-            trunc_l = default_trunc_l(trunc_k, trunc_m)
+        trunc_k, trunc_m = exact_int(trunc_k), exact_int(trunc_m)
+        trunc_l = default_trunc_l(trunc_k, trunc_m) if trunc_l is None else exact_int(trunc_l)
         if min(trunc_k, trunc_m, trunc_l) < 0:
             raise ValueError("truncation bounds must be non-negative")
         stored = {}
         for key, value in coeffs.items():
             k, l, m = key
+            if not (type(k) is int and type(l) is int and type(m) is int):
+                k, l, m = map(exact_int, key)
             value = Fraction(value)
             if value == 0:
                 continue

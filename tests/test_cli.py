@@ -14,7 +14,7 @@ import pytest
 
 import nlk3
 from nlk3 import cli, nldiv, siegel
-from nlk3.lattice import STANDARD_NAMES, build_standard, smith_normal_form, to_text
+from nlk3.lattice import STANDARD_NAMES, IntegralLattice, build_standard, direct_sum, smith_normal_form, to_text
 
 
 def run_cli(capsys, *args):
@@ -184,6 +184,41 @@ def test_lattice_snf_stdout_sha256(capsys):
         assert code == 0, args
         digest.update(out.encode())
     assert digest.hexdigest() == SNF_STDOUT_SHA256
+
+
+def _disc_pin_files():
+    u, e7, e8 = (build_standard(name) for name in ("U", "E7neg", "E8neg"))
+    yield direct_sum(e7, u)
+    yield direct_sum(u, e7)
+    yield IntegralLattice([[-4, 0, 0], [0, -4, 0], [0, 0, -2]])
+    yield direct_sum(IntegralLattice([[-2]], ("w",)), e8)
+    yield direct_sum(direct_sum(u, u), IntegralLattice([[-4, 0], [0, -6]], ("a", "b")))
+
+
+def _disc_pin_commands():
+    for fmt in ("json", "tsv"):
+        for name in ("LambdaG", "LambdaA1"):
+            for g in (2, 3, 4, 5, 10**6):
+                yield None, ("--format", fmt, "lattice", "disc", "--standard", name, "--g", str(g))
+        for lat in _disc_pin_files():
+            yield to_text(lat), ("--format", fmt, "lattice", "disc", "--file", "-")
+
+
+# sha256 of the exit code and stdout of each `lattice disc` above, in order:
+# generators, lifts and q-values of the standard lattices at small and huge g,
+# and of file lattices whose summands the Smith normal form interleaves
+DISC_STDOUT_SHA256 = "b634d3463ca613cc334ad84ca1f094456dcc12e8f5da3c4cc54e14052baf9c81"
+
+
+def test_lattice_disc_stdout_sha256(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for text, args in _disc_pin_commands():
+        if text is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run_cli(capsys, *args)
+        digest.update(f"{code}\n".encode())
+        digest.update(out.encode())
+    assert digest.hexdigest() == DISC_STDOUT_SHA256
 
 
 def test_lattice_source_validation(capsys):

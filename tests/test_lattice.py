@@ -3,14 +3,18 @@
 import dataclasses
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlk3 import lattice
+from nlk3.chern import SurfaceChernData, net_counts
 from nlk3.lattice import (
     DiscElement,
     DiscriminantGroup,
@@ -33,7 +37,8 @@ from nlk3.lattice import (
     to_text,
 )
 from nlk3.nldiv import NLKey
-from nlk3.siegel import HalfIntegralTable
+from nlk3.orbits import eichler_candidates, locus_lattice, nl_component_count
+from nlk3.siegel import GenusTwoSeries, HalfIntegralTable
 
 
 def mat_mul(a, b):
@@ -415,6 +420,30 @@ def test_scalars_are_not_truncated(build):
         build(2.5)
 
 
+@pytest.mark.parametrize(
+    "call,good",
+    [
+        (lambda x: build_standard("LambdaG", g=x), 5),
+        (lambda x: build_standard("LambdaA1", g=x), 5),
+        (lambda x: rescale(build_standard("U"), x), 2),
+        (lambda x: eichler_candidates(build_standard("LambdaG", g=5), x), -2),
+        (lambda x: nl_component_count(x, "nodal"), 6),
+        (lambda x: locus_lattice(x, "a2"), 6),
+        (lambda x: GenusTwoSeries({(x, 0, 1): 7}, 3, 3), 1),
+        (lambda x: GenusTwoSeries({}, x, 1), 2),
+        (lambda x: GenusTwoSeries({}, 1, x), 2),
+        (lambda x: GenusTwoSeries({}, 1, 1, x), 2),
+        (lambda x: net_counts(SurfaceChernData(x, -16, 8, 4)), 32),
+    ],
+    ids=["lambda-g", "lambda-a1", "rescale", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k", "trunc-m", "trunc-l", "chern-data"],
+)
+def test_entry_points_do_not_truncate(call, good):
+    assert call(Fraction(2 * good, 2)) == call(float(good)) == call(good)
+    for bad in (Fraction(2 * good + 1, 2), good + 0.5, str(good)):
+        with pytest.raises(ValueError, match="non-integral entry"):
+            call(bad)
+
+
 def test_rows_may_be_iterators():
     rows = [[0, 1], [1, 0]]
     assert IntegralLattice(iter(row) for row in rows).gram == ((0, 1), (1, 0))
@@ -450,6 +479,111 @@ def test_disc_group_factors():
     assert discriminant_group(build_standard("E7neg")).factors == (2,)
     assert discriminant_group(build_standard("Uperp")).factors == ()
     assert discriminant_group(build_standard("K3")).factors == ()
+
+
+def full_snf_group(l):
+    """(factors, lifts, generator Gram over N, u-rows) straight from the Smith
+    normal form u*G*v = d of the whole Gram matrix."""
+    d, u, v = smith_normal_form(l.gram)
+    positions = [i for i in range(l.rank) if d[i][i] > 1]
+    factors = tuple(d[i][i] for i in positions)
+    cols = [[v[r][i] for r in range(l.rank)] for i in positions]
+    lifts = tuple(tuple(Fraction(c, f) for c in col) for col, f in zip(cols, factors))
+    big = factors[-1] ** 2 if factors else 1
+    gram = tuple(
+        tuple(l.pairing(ci, cj) * big // (fi * fj) for cj, fj in zip(cols, factors)) for ci, fi in zip(cols, factors)
+    )
+    return factors, lifts, gram, [u[i] for i in positions]
+
+
+SUMMAND_GENERA = [*range(2, 401), 10**3, 10**6, 10**7]
+
+
+@pytest.mark.parametrize("name", STANDARD_NAMES)
+def test_summand_groups_equal_the_full_snf(name):
+    """The group of a standard lattice, built from its summands, equals the
+    one read off the Smith normal form of its whole Gram matrix.
+
+    Why this is exact for LambdaG and LambdaA1 at every g >= 3 and not only at
+    the genera tried: the w row and column hold a single entry, -(2g-2), and
+    an elimination step only touches entries facing a nonzero entry of the
+    pivot row or column, so that entry stays alone until w is the pivot.  The
+    pivot is an entry of least |a|; |2g-2| >= 4 exceeds every pivot the
+    summands take (E8neg takes 1 and 2, E7neg 1, 2 and 3), so w is pivoted
+    last.  Before that, the entry is read only by the divisibility test
+    x % p, and every such test is at |p| = 2 (at pivot 3 a remainder is left
+    and the step repeats), where the even entry passes.  So the full Smith
+    normal form runs the same operations for every g >= 3, and g reaches its
+    output only through that entry; the test compares g = 2..400 and three
+    huge genera.  At g = 2 the pivot -2 ties the 2-pivots of E8neg and the
+    generators differ, so g = 2 keeps the full route (compared here too).
+    """
+    rng = random.Random(name)
+    for g in SUMMAND_GENERA if name in ("LambdaG", "LambdaA1") else [None]:
+        l = build_standard(name, g=g)
+        grp = DiscriminantGroup(l)
+        factors, lifts, gram, rows = full_snf_group(l)
+        assert (grp.factors, grp.lifts, grp._gram) == (factors, lifts, gram), (name, g)
+        for _ in range(3):
+            # y = sum a_i*lift_i + (lattice vector) has residues a
+            a = [rng.randrange(f) for f in factors]
+            shift = [rng.randint(-5, 5) for _ in range(l.rank)]
+            y = [sum((x * lift[r] for x, lift in zip(a, lifts)), Fraction(s)) for r, s in enumerate(shift)]
+            assert grp.element_of(y).residues == tuple(a)
+            # v/div(v) has the residues the full route's u-rows read off G.v/div(v)
+            v = [rng.randint(-9, 9) for _ in range(l.rank)]
+            if any(v):
+                gv = [sum(map(mul, row, v)) for row in l.gram]
+                div = gcd(*gv)
+                want = tuple(sum(map(mul, row, gv)) // div % f for row, f in zip(rows, factors))
+                assert grp._class_of([c // div for c in gv]).residues == want
+
+
+def recorded_snf_ranks(monkeypatch):
+    ranks = []
+    full = lattice.smith_normal_form
+
+    def recording(m):
+        ranks.append(len(m))
+        return full(m)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    return ranks
+
+
+def test_standard_groups_take_no_full_snf(monkeypatch):
+    ranks = recorded_snf_ranks(monkeypatch)
+    lattice._block_generators.cache_clear()
+    for name, g in standard_lattices([3, 4, 50, 10**6]):
+        DiscriminantGroup(build_standard(name, g=g))
+    # U, E8neg and E7neg once each, then the rank-1 block <-(2g-2)> per genus
+    assert sorted(ranks) == [1] * 8 + [2, 7, 8]
+    assert lattice._block_generators.cache_info().currsize == 3
+
+
+def test_other_lattices_take_the_full_snf(monkeypatch):
+    lam = build_standard("LambdaA1", g=5)
+    others = [
+        build_standard("LambdaG", g=2),
+        build_standard("LambdaA1", g=2),
+        from_text(to_text(lam)),
+        pickle.loads(pickle.dumps(lam)),
+        direct_sum(build_standard("E7neg"), build_standard("U")),
+        orthogonal_complement(build_standard("K3"), [[1, 1] + [0] * 20])[0],
+    ]
+    ranks = recorded_snf_ranks(monkeypatch)
+    for l in others:
+        assert l._summands is None
+        DiscriminantGroup(l)
+    assert ranks == [21, 20, 20, 20, 9, 21]
+
+
+def test_summand_snfs_wait_for_the_first_group():
+    # importing the package (and the CLI) factors no summand
+    code = "import nlk3.cli; from nlk3.lattice import _block_generators as c; print(c.cache_info().currsize, c.cache_parameters()['maxsize'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "8"]
 
 
 @pytest.mark.parametrize("name,g", [("U", None), ("E8neg", None), ("E7neg", None), ("LambdaG", 6), ("LambdaA1", 6), ("LambdaA1", 7)])

@@ -396,6 +396,16 @@ def test_div6_class_is_realized_but_not_counted():
     assert comps[0].candidate.dual_class == _w2(la)
 
 
+def test_a2_divisibility_six_candidates_occur_at_g_4_mod_9():
+    # a class x = (e, j*(g-1)/3) of order 6 in Z/2 + Z/(2g-2) needs 3 | g-1;
+    # with g-1 = 3t, q(x) = -3e/2 - j^2*t/6 = -6/6^2 mod 2 reads
+    # j^2*t = 1 - 9e mod 12, solvable (e = 1, j = 2) exactly when t = 1 mod 3
+    genera = range(3, 101)
+    six = [g for g in genera if any(c.divisibility == 6 for c in eichler_candidates(build_standard("LambdaA1", g=g), -6))]
+    assert six == [g for g in genera if g % 9 == 4]
+    assert six == [4, 13, 22, 31, 40, 49, 58, 67, 76, 85, 94]
+
+
 # ---------------------------------------------------------------------------
 # component counts
 
