@@ -13,6 +13,15 @@ def exact_int(x) -> int:
     return y
 
 
+def exact_ints(xs) -> tuple[int, ...]:
+    """The entries of xs as a tuple of ints, each checked by exact_int unless
+    all are ints already."""
+    xs = tuple(xs)
+    if all(type(x) is int for x in xs):
+        return xs
+    return tuple(map(exact_int, xs))
+
+
 def text_rows(text: str):
     """(file line number, whitespace-separated fields) of each line that has
     any left once its '#' comment is removed."""

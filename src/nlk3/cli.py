@@ -60,9 +60,10 @@ def _tsv(result) -> str:
     return _cell(result)
 
 
-def _emit(args, command: str, inputs: dict, result) -> None:
+def _emit(args, inputs: dict, result) -> None:
     record = {
-        "command": command,
+        # the command as typed: "verify", or a group and its subcommand
+        "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
         "inputs": _plain(inputs),
         "result": _plain(result),
         "exact": True,
@@ -122,14 +123,14 @@ def _read_text(path: str) -> str:
 def _add_lattice_source(parser):
     parser.add_argument("--file", help="lattice text file, '-' for standard input")
     parser.add_argument("--standard", choices=lattice.STANDARD_NAMES, help="shipped lattice by name")
-    parser.add_argument("--g", type=int, help="genus parameter for LambdaG/LambdaA1")
+    parser.add_argument("--g", type=int, help=f"genus parameter for {'/'.join(lattice.PERIOD_LATTICES)}")
 
 
 def _load_lattice(args, parser):
     if (args.file is None) == (args.standard is None):
         parser.error("provide exactly one of --file or --standard")
     if args.standard is not None:
-        needs_g = args.standard in ("LambdaG", "LambdaA1")
+        needs_g = args.standard in lattice.PERIOD_LATTICES
         if needs_g and args.g is None:
             parser.error(f"--standard {args.standard} requires --g")
         if not needs_g and args.g is not None:
@@ -156,7 +157,7 @@ def _cmd_lattice_disc(args, parser):
         for i, lift in enumerate(grp.lifts)
     ]
     result = {"order": grp.order, "factors": list(grp.factors), "generators": generators}
-    _emit(args, "lattice disc", _lattice_inputs(args), result)
+    _emit(args, _lattice_inputs(args), result)
     return 0
 
 
@@ -177,7 +178,7 @@ def _cmd_lattice_complement(args, parser):
         "embedding": [list(col) for col in embedding],
     }
     inputs = {**_lattice_inputs(args), "vectors": [list(v) for v in args.vector]}
-    _emit(args, "lattice complement", inputs, result)
+    _emit(args, inputs, result)
     return 0
 
 
@@ -189,7 +190,7 @@ def _cmd_lattice_snf(args, parser):
         "u": [list(row) for row in u],
         "v": [list(row) for row in v],
     }
-    _emit(args, "lattice snf", _lattice_inputs(args), result)
+    _emit(args, _lattice_inputs(args), result)
     return 0
 
 
@@ -218,7 +219,7 @@ def _cmd_nl_components(args, parser):
                 }
         rows.append(row)
     inputs = {"g": args.g, "locus": args.locus, "witnesses": args.witnesses}
-    _emit(args, "nl components", inputs, {"count": count, "components": rows})
+    _emit(args, inputs, {"count": count, "components": rows})
     return 0
 
 
@@ -229,7 +230,7 @@ def _cmd_nl_triangular(args, parser):
         for rep, mu in nldiv.triangular_decomposition(key, variant=args.variant)
     ]
     inputs = {"g": args.g, "d": args.d, "n": args.n, "variant": args.variant}
-    _emit(args, "nl triangular", inputs, rows)
+    _emit(args, inputs, rows)
     return 0
 
 
@@ -242,7 +243,7 @@ def _cmd_nl_vector_data(args, parser):
         "multiplicity_two": data.multiplicity_two,
         "delta": nldiv.delta(key),
     }
-    _emit(args, "nl vector-data", {"g": args.g, "d": args.d, "n": args.n}, result)
+    _emit(args, {"g": args.g, "d": args.d, "n": args.n}, result)
     return 0
 
 
@@ -261,7 +262,7 @@ def _cmd_enum_net(args, parser):
         "c2": args.c2,
         "degree": args.degree,
     }
-    _emit(args, "enum net", inputs, {"g": g, "d": d, "e": e, "a2": a2, "a11": a11})
+    _emit(args, inputs, {"g": g, "d": d, "e": e, "a2": a2, "a11": a11})
     return 0
 
 
@@ -275,7 +276,7 @@ def _cmd_enum_unigonal(args, parser):
     a2_counts, a11 = chern.unigonal_counts(table)
     assert a2_counts == a2
     result = {"a2": a2, "double_point": dd, "a11": a11}
-    _emit(args, "enum unigonal", {"table": args.table}, result)
+    _emit(args, {"table": args.table}, result)
     return 0
 
 
@@ -299,7 +300,7 @@ def _cmd_siegel_chi10(args, parser):
     k, l, m = args.index
     result = {"index": [k, l, m], "coefficient": series.coefficient(k, l, m)}
     inputs = {"trunc_k": args.trunc_k, "trunc_m": args.trunc_m, "index": list(args.index)}
-    _emit(args, "siegel chi10", inputs, result)
+    _emit(args, inputs, result)
     return 0
 
 
@@ -309,7 +310,7 @@ def _cmd_siegel_e4e6(args, parser):
     k, l, m = args.index
     result = {"index": [k, l, m], "coefficient": series.coefficient(k, l, m)}
     inputs = {"trunc_k": args.trunc_k, "trunc_m": args.trunc_m, "index": list(args.index)}
-    _emit(args, "siegel e4e6", inputs, result)
+    _emit(args, inputs, result)
     return 0
 
 
@@ -324,7 +325,7 @@ def _cmd_siegel_fit(args, parser):
         "integral": fit.a.denominator == 1 and fit.b.denominator == 1,
     }
     inputs = {"obs": [f"{k},{l},{m}={v}" for (k, l, m), v in args.obs]}
-    _emit(args, "siegel fit", inputs, result)
+    _emit(args, inputs, result)
     return 0
 
 
@@ -332,7 +333,7 @@ def _cmd_siegel_predict(args, parser):
     fit = siegel.Weight10Fit(args.a, args.b)
     value = siegel.predict_nl(fit, args.which, basis=_basis(args))
     inputs = {"a": args.a, "b": args.b, "which": args.which}
-    _emit(args, "siegel predict", inputs, {"which": args.which, "value": value})
+    _emit(args, inputs, {"which": args.which, "value": value})
     return 0
 
 
@@ -340,7 +341,7 @@ def _cmd_siegel_independence(args, parser):
     fit = siegel.Weight10Fit(args.a, args.b)
     independent = siegel.independence_check(fit, basis=_basis(args))
     inputs = {"a": args.a, "b": args.b}
-    _emit(args, "siegel independence", inputs, {"independent": independent})
+    _emit(args, inputs, {"independent": independent})
     return 0
 
 
@@ -520,7 +521,7 @@ def _cmd_verify(args, parser):
             }
         )
     inputs = {"criterion": args.criterion} if args.criterion is not None else {"all": True}
-    _emit(args, "verify", inputs, rows)
+    _emit(args, inputs, rows)
     return 3 if failures else 0
 
 
@@ -546,6 +547,13 @@ def _build_parser() -> argparse.ArgumentParser:
     eisenstein = argparse.ArgumentParser(add_help=False)
     eisenstein.add_argument("--e4", help="weight-4 coefficient table file")
     eisenstein.add_argument("--e6", help="weight-6 coefficient table file")
+    # a key (g, d, n) and a fitted form a * E4E6 + b * chi10
+    key = argparse.ArgumentParser(add_help=False)
+    for flag in ("--g", "--d", "--n"):
+        key.add_argument(flag, type=int, required=True)
+    form = argparse.ArgumentParser(add_help=False)
+    for flag in ("--a", "--b"):
+        form.add_argument(flag, type=_parse_rational, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lat = sub.add_parser("lattice", help="lattice computations")
@@ -568,16 +576,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locus", required=True)
     p.add_argument("--witnesses", action="store_true", help="attach explicit witness vectors")
     p.set_defaults(handler=_cmd_nl_components)
-    p = nl_sub.add_parser("triangular", help="decomposition into irreducible keys", parents=[common])
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = nl_sub.add_parser("triangular", help="decomposition into irreducible keys", parents=[common, key])
     p.add_argument("--variant", choices=nldiv.VARIANTS, default="d-corrected")
     p.set_defaults(handler=_cmd_nl_triangular)
-    p = nl_sub.add_parser("vector-data", help="half-norm, class and multiplicity of a key", parents=[common])
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = nl_sub.add_parser("vector-data", help="half-norm, class and multiplicity of a key", parents=[common, key])
     p.set_defaults(handler=_cmd_nl_vector_data)
 
     p_enum = sub.add_parser("enum", help="singular-member counts of families")
@@ -609,14 +611,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sie_sub.add_parser("fit", help="solve observations against the two weight-10 forms", parents=weight10)
     p.add_argument("--obs", action="append", type=_parse_observation, required=True, help="k,l,m=value, repeatable")
     p.set_defaults(handler=_cmd_siegel_fit)
-    p = sie_sub.add_parser("predict", help="special-divisor degree from a fitted form", parents=weight10)
-    p.add_argument("--a", type=_parse_rational, required=True)
-    p.add_argument("--b", type=_parse_rational, required=True)
+    p = sie_sub.add_parser("predict", help="special-divisor degree from a fitted form", parents=[*weight10, form])
     p.add_argument("--which", choices=sorted(siegel.PREDICTIONS), required=True)
     p.set_defaults(handler=_cmd_siegel_predict)
-    p = sie_sub.add_parser("independence", help="compare the fitted form against the hyperelliptic direction", parents=weight10)
-    p.add_argument("--a", type=_parse_rational, required=True)
-    p.add_argument("--b", type=_parse_rational, required=True)
+    p = sie_sub.add_parser("independence", help="compare the fitted form against the hyperelliptic direction", parents=[*weight10, form])
     p.set_defaults(handler=_cmd_siegel_independence)
 
     p = sub.add_parser("verify", help="run the full reproduction suite", parents=[common])

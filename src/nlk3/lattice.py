@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from ._inputs import exact_int, text_rows
+from ._inputs import exact_int, exact_ints, text_rows
 
 
 # ---------------------------------------------------------------------------
@@ -40,22 +40,13 @@ def _mat_vec(a, x):
     return [_dot(r, x) for r in a]
 
 
-def _int_row(row) -> tuple[int, ...]:
-    """The entries of row as a tuple of ints; a non-integral entry raises
-    ValueError instead of being truncated."""
-    row = tuple(row)
-    if all(type(x) is int for x in row):
-        return row
-    return tuple(map(exact_int, row))
-
-
 def _freeze(m):
-    return tuple(map(_int_row, m))
+    return tuple(map(exact_ints, m))
 
 
 def det(m) -> int:
     """Determinant of an integer matrix, by fraction-free Bareiss elimination."""
-    a = [list(_int_row(row)) for row in m]
+    a = [list(exact_ints(row)) for row in m]
     n = len(a)
     if n == 0:
         return 1
@@ -91,7 +82,7 @@ def smith_normal_form(m):
     block.  The generators of a discriminant group are columns of v, so this
     rule decides their choice and is part of the output contract.
     """
-    a = [list(_int_row(row)) for row in m]
+    a = [list(exact_ints(row)) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
@@ -177,7 +168,7 @@ class LatticeVector:
     coords: tuple[int, ...]
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", _int_row(coords))
+        object.__setattr__(self, "coords", exact_ints(coords))
 
     def __add__(self, other):
         return LatticeVector(x + y for x, y in zip(self.coords, _coords(other), strict=True))
@@ -199,7 +190,7 @@ class LatticeVector:
 def _coords(v):
     if isinstance(v, LatticeVector):
         return v.coords
-    return _int_row(v)
+    return exact_ints(v)
 
 
 @dataclass(frozen=True)
@@ -282,15 +273,7 @@ class IntegralLattice:
 
 
 def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
-    n, m = a.rank, b.rank
-    g = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            g[i][j] = a.gram[i][j]
-    for i in range(m):
-        for j in range(m):
-            g[n + i][n + j] = b.gram[i][j]
-    return IntegralLattice(g, a.labels + b.labels)
+    return IntegralLattice(*_block_diagonal(((a.gram, a.labels), (b.gram, b.labels))))
 
 
 def rescale(l: IntegralLattice, t: int) -> IntegralLattice:
@@ -326,13 +309,16 @@ _E7S = (_root_gram(_E7_DIAG, _E7_EDGES), tuple(f"s{i}" for i in range(1, 8)))
 _SUMMANDS = {
     "U": (_U1,),
     "E8neg": (_E8T,),
-    "E7neg": (_E7S,),
-    "Uperp": (_U1, _U2, _E8T, _E8U),
     "K3": (_U1, _U2, _U3, _E8T, _E8U),
     # both period lattices lead with <-(2g-2)>, basis w
     "LambdaG": (_U2, _U3, _E8T, _E8U),
     "LambdaA1": (_U2, _U3, _E8U, _E7S),
+    "E7neg": (_E7S,),
+    "Uperp": (_U1, _U2, _E8T, _E8U),
 }
+STANDARD_NAMES = tuple(_SUMMANDS)
+# the standard lattices that take a genus g
+PERIOD_LATTICES = ("LambdaG", "LambdaA1")
 
 
 def _block_diagonal(blocks):
@@ -346,9 +332,6 @@ def _block_diagonal(blocks):
         offset += len(gram)
         labels += names
     return rows, labels
-
-
-STANDARD_NAMES = ("U", "E8neg", "K3", "LambdaG", "LambdaA1", "E7neg", "Uperp")
 
 
 def build_standard(name: str, g: int | None = None) -> IntegralLattice:
@@ -367,7 +350,7 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
     are the complements of e1+(g-1)f1 (resp. of {e1+(g-1)f1, t1}), with the
     rank-1 generator w = e1-(g-1)f1.
     """
-    if name in ("LambdaG", "LambdaA1"):
+    if name in PERIOD_LATTICES:
         if g is None:
             raise ValueError(f"{name} requires the genus g")
         g = exact_int(g)
@@ -408,8 +391,8 @@ class DiscElement:
     residues: tuple[int, ...]
 
     def __init__(self, factors, residues):
-        factors = _int_row(factors)
-        residues = tuple(a % d for a, d in zip(_int_row(residues), factors, strict=True))
+        factors = exact_ints(factors)
+        residues = tuple(a % d for a, d in zip(exact_ints(residues), factors, strict=True))
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "residues", residues)
 
@@ -572,6 +555,7 @@ class DiscriminantGroup:
         Lifts of one class differ by lattice vectors, so y is canonical.
         m*y is integral exactly when m*x = 0, which is required.
         """
+        m = exact_int(m)
         if any(m * a % f for a, f in zip(x.residues, self.factors)):
             raise ValueError(f"{m} does not annihilate the class")
         big = self._exponent

@@ -50,11 +50,6 @@ def delta(key: NLKey) -> int:
     return (2 * key.g - 2) * key.n - key.d * key.d
 
 
-def _t(key: NLKey) -> int:
-    # d^2 - 2n(g-1) = -Delta; multiplicative under alpha = x beta + y L
-    return key.d * key.d - 2 * key.n * (key.g - 1)
-
-
 def nl_vector_data(key: NLKey) -> NLVectorData:
     """Half-norm, disc class d*pi, and the 2-torsion flag; requires Delta < 0."""
     dlt = delta(key)
@@ -74,7 +69,7 @@ def prim_equiv(a: NLKey, b: NLKey) -> bool:
     if a.g != b.g:
         raise ValueError("keys of different genus")
     m = 2 * a.g - 2
-    return _t(a) == _t(b) and (a.d - b.d) % m == 0
+    return delta(a) == delta(b) and (a.d - b.d) % m == 0
 
 
 VARIANTS = ("d-corrected", "as-written")
@@ -92,10 +87,11 @@ def mu_coefficient(target: NLKey, rep: NLKey, variant: str = "d-corrected") -> i
         raise ValueError(f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}")
     if target.g != rep.g:
         raise ValueError("keys of different genus")
-    ti = _t(rep)
+    # -Delta = d^2 - 2n(g-1) is multiplicative under alpha = x beta + y L
+    ti = -delta(rep)
     if ti <= 0:
         raise ValueError(f"representative {rep} has d^2 - 2n(g-1) = {ti} <= 0")
-    t = _t(target)
+    t = -delta(target)
     if t % ti != 0 or t < 0:
         return 0
     ratio = t // ti
@@ -126,7 +122,7 @@ def triangular_decomposition(key: NLKey, variant: str = "d-corrected"):
         raise ValueError(f"key {key} has Delta = {dlt} >= 0: nothing to decompose")
     g = key.g
     m = 2 * g - 2
-    t = -dlt  # = _t(key) > 0
+    t = -dlt
     out = []
     x = 1
     while x * x <= t:

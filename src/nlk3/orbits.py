@@ -133,18 +133,18 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | No
 # component counts for the nodal, A11 and A2 loci
 
 
-LOCI = ("nodal", "a11", "a2")
+# each locus is cut out by the vectors of one norm in one period lattice
+_CUT_OUT_BY = {"nodal": ("LambdaG", -2), "a11": ("LambdaA1", -2), "a2": ("LambdaA1", -6)}
+LOCI = tuple(_CUT_OUT_BY)
+_LOCUS_ALIASES = {"node": "nodal", "oneplusa1": "a11"}
 
 
 def _canon_locus(locus: str) -> str:
     s = str(locus).strip().lower().replace("_", "").replace("{", "").replace("}", "").replace(",", "").replace("-", "")
-    if s in ("nodal", "node"):
-        return "nodal"
-    if s in ("a11", "oneplusa1"):
-        return "a11"
-    if s == "a2":
-        return "a2"
-    raise ValueError(f"unknown locus {locus!r}; valid: nodal, a11, a2")
+    s = _LOCUS_ALIASES.get(s, s)
+    if s not in _CUT_OUT_BY:
+        raise ValueError(f"unknown locus {locus!r}; valid: {', '.join(LOCI)}")
+    return s
 
 
 def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
@@ -173,12 +173,9 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     if g < 3:
         raise ValueError("genus must be at least 3")
     locus = _canon_locus(locus)
-    if locus == "nodal":
-        l = build_standard("LambdaG", g=g)
-        cands = eichler_candidates(l, -2)
-    else:
-        l = build_standard("LambdaA1", g=g)
-        cands = eichler_candidates(l, -2 if locus == "a11" else -6)
+    name, norm = _CUT_OUT_BY[locus]
+    l = build_standard(name, g=g)
+    cands = eichler_candidates(l, norm)
     # div(w) = 2g-2 and div(s1) = 2: the classes of w/(2g-2) and s1/2.  A
     # candidate's divisibility is the order of its class, so the class alone
     # decides the label.
@@ -206,4 +203,4 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
 
 def locus_lattice(g: int, locus: str) -> IntegralLattice:
     """The period lattice in which a locus's vectors live."""
-    return build_standard("LambdaG" if _canon_locus(locus) == "nodal" else "LambdaA1", g=g)
+    return build_standard(_CUT_OUT_BY[_canon_locus(locus)][0], g=g)

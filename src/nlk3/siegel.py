@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from ._inputs import exact_int, load_shipped, text_rows
+from ._inputs import exact_int, exact_ints, load_shipped, text_rows
 
 
 def default_trunc_l(trunc_k: int, trunc_m: int) -> int:
@@ -42,8 +42,9 @@ class GenusTwoSeries:
         stored = {}
         for key, value in coeffs.items():
             k, l, m = key
+            # every product builds a series: skip the call for int indices
             if not (type(k) is int and type(l) is int and type(m) is int):
-                k, l, m = map(exact_int, key)
+                k, l, m = exact_ints(key)
             value = Fraction(value)
             if value == 0:
                 continue
@@ -60,6 +61,7 @@ class GenusTwoSeries:
     def coefficient(self, k: int, l: int, m: int) -> Fraction:
         """Exact coefficient; raises outside the truncation window rather than
         guessing zero."""
+        k, l, m = exact_ints((k, l, m))
         if k < 0 or m < 0 or k > self.trunc_k or m > self.trunc_m or abs(l) > self.trunc_l:
             raise ValueError(f"index ({k}, {l}, {m}) lies beyond the truncation bounds")
         return self.coeffs.get((k, l, m), Fraction(0))
@@ -69,11 +71,14 @@ def series_one(trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusT
     return GenusTwoSeries({(0, 0, 0): 1}, trunc_k, trunc_m, trunc_l)
 
 
+def _common_window(x: GenusTwoSeries, y: GenusTwoSeries) -> tuple[int, int, int]:
+    """The tighter of two windows: where both series are exact."""
+    return min(x.trunc_k, y.trunc_k), min(x.trunc_m, y.trunc_m), min(x.trunc_l, y.trunc_l)
+
+
 def series_mul(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
     """Convolution product, truncated to the tighter of the two windows."""
-    tk = min(x.trunc_k, y.trunc_k)
-    tm = min(x.trunc_m, y.trunc_m)
-    tl = min(x.trunc_l, y.trunc_l)
+    tk, tm, tl = _common_window(x, y)
     acc: dict = {}
     for (k1, l1, m1), c1 in x.coeffs.items():
         if k1 > tk or m1 > tm:
@@ -87,9 +92,7 @@ def series_mul(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
 
 
 def series_add(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
-    tk = min(x.trunc_k, y.trunc_k)
-    tm = min(x.trunc_m, y.trunc_m)
-    tl = min(x.trunc_l, y.trunc_l)
+    tk, tm, tl = _common_window(x, y)
     acc: dict = {}
     for src in (x, y):
         for (k, l, m), c in src.coeffs.items():
@@ -228,7 +231,9 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
     # factor terms obey |l| <= k + m + 2 <= trunc_k + trunc_m, so this inner
     # window never clips a contributing term
     inner_l = out_l + 1
-    prod = series_one(trunc_k - 1, trunc_m - 1, inner_l)
+    # every exponent is read before the first product, so a window the table
+    # cannot support fails at once
+    factors = []
     for r in range(trunc_k):
         for t in range(trunc_m):
             if r == 0 and t == 0:
@@ -238,10 +243,11 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
                 svals = range(-smax, smax + 1)
             for s in svals:
                 exponent = table.c(4 * r * t - s * s)
-                if exponent == 0:
-                    continue
-                factor = binomial_pow((r, s, t), exponent, trunc_k - 1, trunc_m - 1, inner_l)
-                prod = series_mul(prod, factor)
+                if exponent:
+                    factors.append(((r, s, t), exponent))
+    prod = series_one(trunc_k - 1, trunc_m - 1, inner_l)
+    for monomial, exponent in factors:
+        prod = series_mul(prod, binomial_pow(monomial, exponent, trunc_k - 1, trunc_m - 1, inner_l))
     shifted = {}
     for (k, l, m), value in prod.coeffs.items():
         if abs(l + 1) <= out_l:
@@ -251,6 +257,11 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
 
 # ---------------------------------------------------------------------------
 # Eisenstein coefficient tables
+
+
+def _orbit_rep(k: int, l: int, m: int) -> tuple[int, int, int]:
+    """The representative (k <= m, l >= 0) of an index's symmetry orbit."""
+    return min(k, m), abs(l), max(k, m)
 
 
 def loads_coeff_table(text: str) -> GenusTwoSeries:
@@ -271,7 +282,7 @@ def loads_coeff_table(text: str) -> GenusTwoSeries:
             raise ValueError(f"line {lineno}: malformed entry") from None
         if k < 0 or m < 0:
             raise ValueError(f"line {lineno}: negative exponent")
-        canon = (min(k, m), abs(l), max(k, m))
+        canon = _orbit_rep(k, l, m)
         if canon in canonical:
             raise ValueError(f"line {lineno}: duplicate entry for orbit {canon}")
         canonical[canon] = value
@@ -291,8 +302,8 @@ def loads_coeff_table(text: str) -> GenusTwoSeries:
 def dumps_coeff_table(series: GenusTwoSeries) -> str:
     """Write one symmetry representative (l >= 0, k <= m) per orbit, sorted."""
     canonical = {}
-    for (k, l, m), value in series.coeffs.items():
-        canon = (min(k, m), abs(l), max(k, m))
+    for key, value in series.coeffs.items():
+        canon = _orbit_rep(*key)
         if canonical.setdefault(canon, value) != value:
             raise ValueError(f"entries in the symmetry orbit of {canon} disagree")
     lines = ["# genus-2 Fourier coefficients: k l m value (one representative per symmetry orbit)"]

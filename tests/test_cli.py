@@ -357,6 +357,19 @@ def test_siegel_chi10_exhausted_table(capsys):
     assert "exhausted" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("trunc_m", [60, 400])
+def test_siegel_chi10_exhausted_table_fails_before_any_product(capsys, trunc_m):
+    # the exponents are all read before the first product, so the missing
+    # c(11) is reported without first multiplying out the factors before it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "siegel", "chi10", "--trunc-k", "2", "--trunc-m", str(trunc_m), "--index", "1,1,1")
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "coefficient table exhausted: c(11) is beyond the shipped support (max 8)"
+    assert elapsed < 0.5
+
+
 def test_siegel_e4e6_beyond_window(capsys):
     code, _, err = run_cli(capsys, "siegel", "e4e6", "--index", "1,2,1")
     assert code == 2
@@ -583,3 +596,63 @@ def test_stdout_contract_sha256(capsys):
         assert code == 0, args
         digest.update(out.encode())
     assert digest.hexdigest() == STDOUT_SHA256
+
+
+_LEAF_COMMANDS = (
+    ("lattice", "disc"),
+    ("lattice", "complement"),
+    ("lattice", "snf"),
+    ("nl", "components"),
+    ("nl", "triangular"),
+    ("nl", "vector-data"),
+    ("enum", "net"),
+    ("enum", "unigonal"),
+    ("siegel", "chi10"),
+    ("siegel", "e4e6"),
+    ("siegel", "fit"),
+    ("siegel", "predict"),
+    ("siegel", "independence"),
+    ("verify",),
+)
+
+
+def _surface_commands():
+    for name, rank in (("K3", 22), ("Uperp", 20), ("LambdaG", 21)):
+        source = ("--standard", name, *(("--g", "6") if name == "LambdaG" else ()))
+        first = ",".join(["1", "1"] + ["0"] * (rank - 2))
+        second = ",".join(["0"] * (rank - 2) + ["1", "-1"])
+        yield ("lattice", "complement", *source, "--vector", first)
+        yield ("lattice", "complement", *source, "--vector", first, "--vector", second)
+    # n = 0 and n = 2 add keys with Delta >= 0, which exit 2
+    for g in (2, 3, 6, 11):
+        for d in (-3, 0, 1, 5):
+            for n in (-4, -2, 0, 2):
+                yield ("nl", "vector-data", "--g", str(g), "--d", str(d), "--n", str(n))
+    for chern_data in (("32", "-16", "8", "4"), ("2", "-2", "1", "11")):
+        alpha2, alphac1, c1sq, c2 = chern_data
+        for degree in ("1", "4"):
+            yield ("enum", "net", "--alpha2", alpha2, "--alphac1", alphac1, "--c1sq", c1sq, "--c2", c2, "--degree", degree)
+    yield ("enum", "unigonal")
+    for fmt in ("json", "tsv"):
+        for criterion in range(1, 10):
+            yield ("--format", fmt, "verify", "--criterion", str(criterion))
+    for leaf in _LEAF_COMMANDS:
+        yield (*leaf, "--help")
+
+
+# sha256 of the exit code and stdout of each command above, in order, with
+# COLUMNS=80 fixing the width of the --help text
+SURFACE_STDOUT_SHA256 = "19eab9c8d280d39ccc79f0f80ec059cf153978112e01da0f7b4cd91525f47c3a"
+
+
+def test_surface_stdout_sha256(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    codes = set()
+    for args in _surface_commands():
+        code, out, _ = run_cli(capsys, *args)
+        codes.add(code)
+        digest.update(f"{code}\n".encode())
+        digest.update(out.encode())
+    assert codes == {0, 2}
+    assert digest.hexdigest() == SURFACE_STDOUT_SHA256

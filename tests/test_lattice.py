@@ -420,6 +420,12 @@ def test_scalars_are_not_truncated(build):
         build(2.5)
 
 
+def _typed_lift_multiple(m):
+    # the types too: m = 6.0 must not turn the lift into floats
+    grp = discriminant_group(build_standard("LambdaG", g=4))
+    return [(c, type(c)) for c in grp.lift_multiple(grp.element((1,)), m)]
+
+
 @pytest.mark.parametrize(
     "call,good",
     [
@@ -434,8 +440,10 @@ def test_scalars_are_not_truncated(build):
         (lambda x: GenusTwoSeries({}, 1, x), 2),
         (lambda x: GenusTwoSeries({}, 1, 1, x), 2),
         (lambda x: net_counts(SurfaceChernData(x, -16, 8, 4)), 32),
+        (lambda x: GenusTwoSeries({(1, 0, 1): 7}, 3, 3).coefficient(x, 0, 1), 1),
+        (_typed_lift_multiple, 6),
     ],
-    ids=["lambda-g", "lambda-a1", "rescale", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k", "trunc-m", "trunc-l", "chern-data"],
+    ids=["lambda-g", "lambda-a1", "rescale", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k", "trunc-m", "trunc-l", "chern-data", "series-coefficient", "lift-multiple"],
 )
 def test_entry_points_do_not_truncate(call, good):
     assert call(Fraction(2 * good, 2)) == call(float(good)) == call(good)

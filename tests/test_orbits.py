@@ -368,9 +368,9 @@ def test_witness_deterministic():
 
 
 def test_div6_class_is_realized_but_not_counted():
-    # for 3 | g-1 there are honest divisibility-6 vectors w = t1 + 2v of norm
-    # -6 whose configuration span is non-saturated; they must show up as
-    # candidates and witnesses yet stay out of the component count
+    # for g = 4 (mod 9) there are honest divisibility-6 vectors w = t1 + 2v
+    # of norm -6 whose configuration span is non-saturated; they must show up
+    # as candidates and witnesses yet stay out of the component count
     la = build_standard("LambdaA1", g=4)
     grp = discriminant_group(la)
     lift = [Fraction(0)] * la.rank
