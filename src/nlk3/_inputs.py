@@ -17,7 +17,8 @@ def exact_ints(xs) -> tuple[int, ...]:
     """The entries of xs as a tuple of ints, each checked by exact_int unless
     all are ints already."""
     xs = tuple(xs)
-    if all(type(x) is int for x in xs):
+    # one type scan in C; bool and every other int subclass take exact_int
+    if set(map(type, xs)) <= {int}:
         return xs
     return tuple(map(exact_int, xs))
 

@@ -36,12 +36,25 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _mat_vec(a, x):
-    return [_dot(r, x) for r in a]
+def _mat_vec(gram, x):
+    """gram.x for a symmetric gram, as the sum of x_j * (row j) over the
+    nonzero x_j: a basis vector costs one row."""
+    if len(x) != len(gram):
+        raise ValueError(f"length mismatch: {len(gram)} and {len(x)}")
+    out = [0] * len(gram)
+    for c, row in zip(x, gram):
+        if c:
+            out = [s + c * y for s, y in zip(out, row)]
+    return out
 
 
 def _freeze(m):
-    return tuple(map(exact_ints, m))
+    """m as a tuple of int tuples, each entry checked by exact_int unless one
+    type scan over all of them finds ints only."""
+    rows = tuple(map(tuple, m))
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        return rows
+    return tuple(map(exact_ints, rows))
 
 
 def det(m) -> int:
@@ -361,16 +374,29 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
 
     if name not in _SUMMANDS:
         raise ValueError(f"unknown lattice {name!r}; valid names: {', '.join(STANDARD_NAMES)}")
-    blocks = _SUMMANDS[name]
+    rows, labels = _standard_rows(name)
+    summands = tuple(gram for gram, _ in _SUMMANDS[name])
     if g is not None:
-        w = (((-(2 * g - 2),),), ("w",))
-        blocks = (w, *blocks)
-    lat = IntegralLattice(*_block_diagonal(blocks))
+        w = (-(2 * g - 2),)
+        rows = (w + rows[0][1:], *rows[1:])
+        summands = ((w,), *summands)
+    lat = IntegralLattice(rows, labels)
     # at g = 2 the pivot w^2 = -2 ties the 2-pivots of E8, and the full Smith
     # normal form's generator (w - 4*t1 - ...)/2 is not the summand one, w/2
     if g != 2:
-        object.__setattr__(lat, "_summands", tuple(gram for gram, _ in blocks))
+        object.__setattr__(lat, "_summands", summands)
     return lat
+
+
+@lru_cache(maxsize=len(_SUMMANDS))
+def _standard_rows(name):
+    """The frozen Gram rows and labels of a standard lattice, shared by every
+    lattice built under that name; a period lattice's w row is left zero."""
+    blocks = _SUMMANDS[name]
+    if name in PERIOD_LATTICES:
+        blocks = ((((0,),), ("w",)), *blocks)
+    rows, labels = _block_diagonal(blocks)
+    return _freeze(rows), labels
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,31 @@ def mu_coefficient(target: NLKey, rep: NLKey, variant: str = "d-corrected") -> i
     return count
 
 
+def _square_divisors(t: int) -> list[int]:
+    """The x >= 1 with x^2 | t, ascending, for t >= 1.
+
+    Trial division runs while p^3 <= the cofactor r; after it, every prime
+    factor of r is at least p and r < p^3, so r has at most two prime
+    factors and holds a square factor only when r is itself a prime square.
+    The cost is O(t^(1/3)), not O(t^(1/2)).
+    """
+    roots = [1]
+    r = t
+    p = 2
+    while p * p * p <= r:
+        e = 0
+        while r % p == 0:
+            r //= p
+            e += 1
+        if e > 1:
+            roots = [x * p**a for x in roots for a in range(e // 2 + 1)]
+        p += 1
+    s = isqrt(r)
+    if s > 1 and s * s == r:
+        roots += [x * s for x in roots]
+    return sorted(roots)
+
+
 def triangular_decomposition(key: NLKey, variant: str = "d-corrected"):
     """Decompose the locus of key into primitive loci with multiplicities.
 
@@ -124,9 +149,8 @@ def triangular_decomposition(key: NLKey, variant: str = "d-corrected"):
     m = 2 * g - 2
     t = -dlt
     out = []
-    x = 1
-    while x * x <= t:
-        if t % (x * x) == 0 and key.d % (h := gcd(x, m)) == 0:
+    for x in _square_divisors(t):
+        if key.d % (h := gcd(x, m)) == 0:
             ti = t // (x * x)
             # the solutions of x*di = d (mod m) in [0, m): one residue mod m/h
             step = m // h
@@ -142,6 +166,5 @@ def triangular_decomposition(key: NLKey, variant: str = "d-corrected"):
                 mu = mu_coefficient(key, rep, variant=variant)
                 if mu > 0:
                     out.append((rep, mu))
-        x += 1
     out.sort(key=lambda pair: (abs(delta(pair[0])), pair[0].d))
     return tuple(out)

@@ -181,6 +181,7 @@ class HalfIntegralTable:
         object.__setattr__(self, "support_max", max(vals))
 
     def c(self, m: int) -> int:
+        m = exact_int(m)
         if m < -1:
             return 0
         if m > self.support_max:

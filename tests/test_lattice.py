@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlk3 import lattice
+from nlk3._inputs import exact_ints
 from nlk3.chern import SurfaceChernData, net_counts
 from nlk3.lattice import (
     DiscElement,
@@ -38,7 +39,7 @@ from nlk3.lattice import (
 )
 from nlk3.nldiv import NLKey
 from nlk3.orbits import eichler_candidates, locus_lattice, nl_component_count
-from nlk3.siegel import GenusTwoSeries, HalfIntegralTable
+from nlk3.siegel import GenusTwoSeries, HalfIntegralTable, default_chi10_exponents
 
 
 def mat_mul(a, b):
@@ -317,6 +318,75 @@ def test_build_standard_equals_chained_direct_sums(name, g):
     assert (l.gram, l.labels) == (expected.gram, expected.labels)
 
 
+def block_diagonal_build(name, g=None):
+    """build_standard as one plain _block_diagonal assembly of the summands."""
+    blocks = lattice._SUMMANDS[name]
+    if g is not None:
+        blocks = ((((-(2 * g - 2),),), ("w",)), *blocks)
+    l = IntegralLattice(*lattice._block_diagonal(blocks))
+    return l, (None if g == 2 else tuple(gram for gram, _ in blocks))
+
+
+@pytest.mark.parametrize("name,g", list(standard_lattices([*range(2, 61), 10**6])))
+def test_build_standard_equals_block_diagonal_assembly(name, g):
+    l = build_standard(name, g=g)
+    expected, summands = block_diagonal_build(name, g)
+    assert (l.gram, l.labels, hash(l), l._summands) == (expected.gram, expected.labels, hash(expected), summands)
+
+
+def test_standard_lattices_share_their_constant_rows():
+    lg5, lg6 = build_standard("LambdaG", g=5), build_standard("LambdaG", g=6)
+    assert lg5.gram[1] is lg6.gram[1]
+    assert all(a is b for a, b in zip(lg5.gram[1:], lg6.gram[1:]))
+    assert lg5.gram[0] != lg6.gram[0]
+    assert all(a is b for a, b in zip(build_standard("K3").gram, build_standard("K3").gram))
+
+
+def dense_mat_vec(a, x):
+    return [sum(map(mul, row, x)) for row in a]
+
+
+def random_symmetric(rng, n):
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            a[i][j] = a[j][i] = rng.randint(-9, 9)
+    return a
+
+
+def test_sparse_mat_vec_equals_the_dense_product():
+    rng = random.Random(0)
+    for n in range(1, 23):
+        for _ in range(5):
+            a = random_symmetric(rng, n)
+            vectors = [[0] * n, [rng.randint(-50, 50) for _ in range(n)]]
+            for i in range(n):
+                vectors.append([int(j == i) for j in range(n)])
+            vectors.append([rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(n)])
+            for x in vectors:
+                assert lattice._mat_vec(a, x) == dense_mat_vec(a, x), (a, x)
+    for x in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match=f"length mismatch: 3 and {len(x)}"):
+            lattice._mat_vec(random_symmetric(rng, 3), x)
+
+
+def test_integer_checks_agree_on_both_routes():
+    # all-int input takes the type scan, anything else goes entry by entry
+    assert exact_ints((1, -2, 3)) == (1, -2, 3)
+    for mixed in ((True, Fraction(4, 2), 2.0, 5), (1, 2, True), (Fraction(-6, 3),)):
+        out = exact_ints(mixed)
+        assert out == tuple(int(x) for x in mixed)
+        assert {type(x) for x in out} == {int}
+    with pytest.raises(ValueError, match="non-integral entry 2.5"):
+        exact_ints((1, 2, 2.5))
+    rows = lattice._freeze([[0, True], [Fraction(4, 2), 2.0]])
+    assert rows == ((0, 1), (2, 2)) and {type(x) for row in rows for x in row} == {int}
+    plain = ((0, 1), (1, 0))
+    assert lattice._freeze(plain)[0] is plain[0]
+    with pytest.raises(ValueError, match="non-integral entry 2.5"):
+        lattice._freeze([[0, 1], [1, 2.5]])
+
+
 def test_constructor_reports_first_bad_entry_in_row_major_order():
     with pytest.raises(ValueError, match=r"not symmetric at \(2, 0\)"):
         IntegralLattice([[0, 0, 1], [0, 0, 5], [0, 3, 0]])
@@ -442,8 +512,9 @@ def _typed_lift_multiple(m):
         (lambda x: net_counts(SurfaceChernData(x, -16, 8, 4)), 32),
         (lambda x: GenusTwoSeries({(1, 0, 1): 7}, 3, 3).coefficient(x, 0, 1), 1),
         (_typed_lift_multiple, 6),
+        (lambda x: default_chi10_exponents().c(x), 1),
     ],
-    ids=["lambda-g", "lambda-a1", "rescale", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k", "trunc-m", "trunc-l", "chern-data", "series-coefficient", "lift-multiple"],
+    ids=["lambda-g", "lambda-a1", "rescale", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k", "trunc-m", "trunc-l", "chern-data", "series-coefficient", "lift-multiple", "exponent"],
 )
 def test_entry_points_do_not_truncate(call, good):
     assert call(Fraction(2 * good, 2)) == call(float(good)) == call(good)
@@ -587,11 +658,15 @@ def test_other_lattices_take_the_full_snf(monkeypatch):
 
 
 def test_summand_snfs_wait_for_the_first_group():
-    # importing the package (and the CLI) factors no summand
-    code = "import nlk3.cli; from nlk3.lattice import _block_generators as c; print(c.cache_info().currsize, c.cache_parameters()['maxsize'])"
+    # importing the package (and the CLI) factors no summand and builds no
+    # standard lattice's rows
+    code = (
+        "import nlk3.cli; from nlk3.lattice import _block_generators, _standard_rows\n"
+        "for c in (_block_generators, _standard_rows): print(c.cache_info().currsize, c.cache_parameters()['maxsize'])"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "8"]
+    assert proc.stdout.split() == ["0", "8", "0", str(len(STANDARD_NAMES))]
 
 
 @pytest.mark.parametrize("name,g", [("U", None), ("E8neg", None), ("E7neg", None), ("LambdaG", 6), ("LambdaA1", 6), ("LambdaA1", 7)])

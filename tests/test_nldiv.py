@@ -1,11 +1,13 @@
 """NL divisor keys: delta, vector data, mu, triangular decomposition."""
 
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlk3.nldiv import VARIANTS, NLKey, delta, mu_coefficient, nl_vector_data, prim_equiv, triangular_decomposition
+from nlk3.nldiv import VARIANTS, NLKey, _square_divisors, delta, mu_coefficient, nl_vector_data, prim_equiv, triangular_decomposition
 from nlk3.orbits import nl_component_count
 
 
@@ -198,6 +200,36 @@ def test_triangular_matches_reference_scan():
                     raised += want[:1] == ("ValueError",)
     assert keys == 42042
     assert raised == 1012
+
+
+def test_square_divisors_match_the_scan():
+    # the x with x^2 | t, from trial division up to the cube root of t,
+    # against the old scan over every x with x^2 <= t
+    for t in range(1, 20001):
+        assert _square_divisors(t) == [x for x in range(1, isqrt(t) + 1) if t % (x * x) == 0], t
+    # cofactors past the cube root: p^2, p*q, p^2 times a small square
+    p, q = 999983, 999979
+    assert _square_divisors(p * p) == [1, p]
+    assert _square_divisors(p * q) == [1]
+    assert _square_divisors(8 * p * p) == [1, 2, p, 2 * p]
+
+
+def test_triangular_matches_reference_scan_on_the_cli_pin_grid():
+    # every key of the `nl triangular` stdout pin in tests/test_cli.py
+    for g in (*range(2, 31), 97, 1000):
+        for d in sorted({0, 1, 2, g - 1, 2 * g - 3, 2 * g + 1, -1}):
+            for n in (-2, -6, -10, -30, 0, 2):
+                key = NLKey(g, d, n)
+                for variant in VARIANTS:
+                    assert _outcome(triangular_decomposition, key, variant) == _outcome(reference_triangular, key, variant)
+
+
+def test_triangular_huge_discriminant_is_cheap():
+    # |Delta| = 4*10^13 - 4: the old scan over x^2 <= |Delta| took ~1 s
+    start = time.perf_counter()
+    reps = triangular_decomposition(NLKey(10**13, 0, -2))
+    assert time.perf_counter() - start < 0.1
+    assert [(r.g, r.d, r.n, mu) for r, mu in reps] == [(10**13, 0, -2, 2)]
 
 
 @pytest.mark.parametrize("g", range(3, 41))
