@@ -216,6 +216,10 @@ class IntegralLattice:
     # the Gram blocks of an orthogonal sum whose discriminant group may be
     # built from theirs; build_standard sets it, every other lattice has None
     _summands = None
+    # the validated template of the standard name a lattice was built under,
+    # which keeps what the name's lattices share (orbits' U planes);
+    # build_standard sets it, every other lattice has None
+    _template = None
 
     def __init__(self, gram, labels=None):
         g = _freeze(gram)
@@ -248,7 +252,8 @@ class IntegralLattice:
 
     def __reduce__(self):
         # string hashes differ between processes, so _hash is not pickled;
-        # nor is _summands, so a copy takes the full Smith normal form route
+        # nor are _summands and _template, so a copy takes the full Smith
+        # normal form route and keeps its own derived data
         return IntegralLattice, (self.gram, self.labels)
 
     @property
@@ -374,29 +379,32 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
 
     if name not in _SUMMANDS:
         raise ValueError(f"unknown lattice {name!r}; valid names: {', '.join(STANDARD_NAMES)}")
-    rows, labels = _standard_rows(name)
-    summands = tuple(gram for gram, _ in _SUMMANDS[name])
-    if g is not None:
-        w = (-(2 * g - 2),)
-        rows = (w + rows[0][1:], *rows[1:])
-        summands = ((w,), *summands)
-    lat = IntegralLattice(rows, labels)
+    template = _standard_template(name)
+    if g is None:
+        return template
+    # only the w entry -(2g-2) is new, and it is an even int: the template's
+    # checks cover the rest, so the fields are set without running them again
+    w = (-(2 * g - 2),)
+    gram = (w + template.gram[0][1:], *template.gram[1:])
+    lat = object.__new__(IntegralLattice)
+    vars(lat).update(gram=gram, labels=template.labels, _hash=hash((gram, template.labels)), _template=template)
     # at g = 2 the pivot w^2 = -2 ties the 2-pivots of E8, and the full Smith
     # normal form's generator (w - 4*t1 - ...)/2 is not the summand one, w/2
     if g != 2:
-        object.__setattr__(lat, "_summands", summands)
+        vars(lat)["_summands"] = ((w,), *template._summands[1:])
     return lat
 
 
 @lru_cache(maxsize=len(_SUMMANDS))
-def _standard_rows(name):
-    """The frozen Gram rows and labels of a standard lattice, shared by every
-    lattice built under that name; a period lattice's w row is left zero."""
+def _standard_template(name) -> IntegralLattice:
+    """The lattice of a standard name, validated once and shared by every
+    lattice built under that name; a period lattice's w entry is left 0."""
     blocks = _SUMMANDS[name]
     if name in PERIOD_LATTICES:
         blocks = ((((0,),), ("w",)), *blocks)
-    rows, labels = _block_diagonal(blocks)
-    return _freeze(rows), labels
+    lat = IntegralLattice(*_block_diagonal(blocks))
+    object.__setattr__(lat, "_summands", tuple(gram for gram, _ in blocks))
+    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +430,30 @@ class DiscElement:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "residues", residues)
 
+    @classmethod
+    def _reduced(cls, factors, residues):
+        """The element of int factors the library has checked and a tuple of
+        int residues already reduced mod them, built without checking again."""
+        x = object.__new__(cls)
+        vars(x).update(factors=factors, residues=residues)
+        return x
+
     def __add__(self, other):
         if self.factors != other.factors:
             raise ValueError("elements of different groups")
-        return DiscElement(self.factors, (a + b for a, b in zip(self.residues, other.residues)))
+        return DiscElement._reduced(
+            self.factors, tuple((a + b) % d for a, b, d in zip(self.residues, other.residues, self.factors))
+        )
 
     def __neg__(self):
-        return DiscElement(self.factors, (-a for a in self.residues))
+        return DiscElement._reduced(self.factors, tuple(-a % d for a, d in zip(self.residues, self.factors)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __rmul__(self, c: int):
         c = exact_int(c)
-        return DiscElement(self.factors, (c * a for a in self.residues))
+        return DiscElement._reduced(self.factors, tuple(c * a % d for a, d in zip(self.residues, self.factors)))
 
     def is_zero(self) -> bool:
         return not any(self.residues)
@@ -533,7 +551,7 @@ class DiscriminantGroup:
         return n
 
     def zero(self) -> DiscElement:
-        return DiscElement(self.factors, (0,) * len(self.factors))
+        return DiscElement._reduced(self.factors, (0,) * len(self.factors))
 
     def element(self, residues) -> DiscElement:
         return DiscElement(self.factors, residues)
@@ -545,7 +563,7 @@ class DiscriminantGroup:
         """
         ranges = (range(0, d, d // gcd(n, d)) for d in self.factors)
         for residues in itertools.product(*ranges):
-            yield DiscElement(self.factors, residues)
+            yield DiscElement._reduced(self.factors, residues)
 
     def element_of(self, dual_vector) -> DiscElement:
         """Class of a rational vector lying in the dual lattice."""
@@ -560,7 +578,7 @@ class DiscriminantGroup:
 
     def _class_of(self, gy) -> DiscElement:
         """Class of the dual vector y, given the integer vector G.y."""
-        return DiscElement(self.factors, (_dot(row, gy) for row in self._rows))
+        return DiscElement._reduced(self.factors, tuple(_dot(row, gy) % d for row, d in zip(self._rows, self.factors)))
 
     def _lift_numerators(self, x: DiscElement) -> list[int]:
         """D * lift(x), an integer vector: the sum of a_i * (D/d_i) * v_i."""

@@ -45,19 +45,28 @@ class Component:
     candidate: OrbitCandidate
 
 
-def _u_blocks(l: IntegralLattice):
+def _u_blocks(l: IntegralLattice) -> list[tuple[int, int]]:
     """Indices (i, j) of basis pairs spanning pairwise orthogonal U summands.
 
     (i, j) spans an orthogonal U exactly when the only nonzero entry of row i
     is gram[i][j] = 1 and the only nonzero entry of row j is gram[j][i].
+
+    The scan runs once per lattice, or once per name for the lattices of
+    build_standard: their w entry -(2g-2) is never 1 and shares no row with
+    a U, so the positions do not depend on g.  The result is kept on the
+    template (or the lattice), outside its fields.
     """
-    n = l.rank
-    blocks = []
-    for i, row in enumerate(l.gram):
-        if row.count(0) == n - 1 and 1 in row:
-            j = row.index(1)
-            if j > i and l.gram[j].count(0) == n - 1:
-                blocks.append((i, j))
+    owner = l._template or l
+    blocks = vars(owner).get("_u_blocks")
+    if blocks is None:
+        n = l.rank
+        blocks = []
+        for i, row in enumerate(l.gram):
+            if row.count(0) == n - 1 and 1 in row:
+                j = row.index(1)
+                if j > i and l.gram[j].count(0) == n - 1:
+                    blocks.append((i, j))
+        vars(owner)["_u_blocks"] = blocks
     return blocks
 
 

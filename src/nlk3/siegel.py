@@ -216,6 +216,14 @@ def default_chi10_exponents() -> HalfIntegralTable:
     return load_shipped("chi10_exponents.tbl", loads_half_integral)
 
 
+# the largest chi10 product, factor count x window terms, that chi10
+# multiplies out.  10^6 is about a second of series products on a 2-vCPU VM:
+# the (1, 40) window needs 7.9e5 and takes 0.8 s, (1, 60) needs 2.6e6 and
+# takes 2.9 s.  The windows of verify and the tests need at most 2976 (1, 6),
+# and none the shipped table supports with trunc_k >= 2 needs more than 2508.
+CHI10_MAX_WORK = 10**6
+
+
 def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int = 2) -> GenusTwoSeries:
     """Weight-10 cusp form qt p q * prod (1 - qt^r p^s q^t)^c(4rt - s^2).
 
@@ -223,6 +231,9 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
     r <= trunc_k - 1 and t <= trunc_m - 1; the product runs over (r, s, t) > 0,
     meaning r > 0, or t > 0, or r = t = 0 with s < 0.  Exponents vanish below
     argument -1, which bounds |s| by s^2 <= 4rt + 1.
+
+    A product whose factor count times window size exceeds CHI10_MAX_WORK
+    raises ValueError before the first multiplication.
     """
     if table is None:
         table = default_chi10_exponents()
@@ -246,6 +257,12 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
                 exponent = table.c(4 * r * t - s * s)
                 if exponent:
                     factors.append(((r, s, t), exponent))
+    window = trunc_k * trunc_m * (2 * inner_l + 1)
+    if len(factors) * window > CHI10_MAX_WORK:
+        raise ValueError(
+            f"chi10 window ({trunc_k}, {trunc_m}) needs about {len(factors) * window} term products "
+            f"({len(factors)} factors x {window} window terms), above the limit {CHI10_MAX_WORK}"
+        )
     prod = series_one(trunc_k - 1, trunc_m - 1, inner_l)
     for monomial, exponent in factors:
         prod = series_mul(prod, binomial_pow(monomial, exponent, trunc_k - 1, trunc_m - 1, inner_l))

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import gcd, prod
 from operator import mul
 
@@ -327,11 +328,18 @@ def block_diagonal_build(name, g=None):
     return l, (None if g == 2 else tuple(gram for gram, _ in blocks))
 
 
-@pytest.mark.parametrize("name,g", list(standard_lattices([*range(2, 61), 10**6])))
+@pytest.mark.parametrize("name,g", list(standard_lattices([*range(2, 201), 10**6, 10**7])))
 def test_build_standard_equals_block_diagonal_assembly(name, g):
+    # build_standard sets a period lattice's fields without running the
+    # constructor's checks; the result must be the lattice they give
     l = build_standard(name, g=g)
     expected, summands = block_diagonal_build(name, g)
     assert (l.gram, l.labels, hash(l), l._summands) == (expected.gram, expected.labels, hash(expected), summands)
+    assert type(l) is IntegralLattice and {type(x) for row in l.gram for x in row} == {int}
+    assert l == expected
+    copy = pickle.loads(pickle.dumps(l))
+    assert copy == l and hash(copy) == hash(l)
+    assert (copy._summands, copy._template) == (None, None)
 
 
 def test_standard_lattices_share_their_constant_rows():
@@ -340,6 +348,23 @@ def test_standard_lattices_share_their_constant_rows():
     assert all(a is b for a, b in zip(lg5.gram[1:], lg6.gram[1:]))
     assert lg5.gram[0] != lg6.gram[0]
     assert all(a is b for a, b in zip(build_standard("K3").gram, build_standard("K3").gram))
+
+
+def test_build_standard_runs_the_constructor_once_per_name(monkeypatch):
+    calls = []
+    checked_init = IntegralLattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        checked_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntegralLattice, "__init__", counting_init)
+    lattice._standard_template.cache_clear()
+    rng = random.Random(0)
+    names = [rng.choice(STANDARD_NAMES) for _ in range(100)]
+    for name in names:
+        build_standard(name, g=rng.randint(2, 10**6) if name in lattice.PERIOD_LATTICES else None)
+    assert len(calls) == len(set(names))
 
 
 def dense_mat_vec(a, x):
@@ -659,10 +684,10 @@ def test_other_lattices_take_the_full_snf(monkeypatch):
 
 def test_summand_snfs_wait_for_the_first_group():
     # importing the package (and the CLI) factors no summand and builds no
-    # standard lattice's rows
+    # standard lattice's template
     code = (
-        "import nlk3.cli; from nlk3.lattice import _block_generators, _standard_rows\n"
-        "for c in (_block_generators, _standard_rows): print(c.cache_info().currsize, c.cache_parameters()['maxsize'])"
+        "import nlk3.cli; from nlk3.lattice import _block_generators, _standard_template\n"
+        "for c in (_block_generators, _standard_template): print(c.cache_info().currsize, c.cache_parameters()['maxsize'])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -784,6 +809,38 @@ def test_element_arithmetic():
     assert grp.zero().order() == 1
     with pytest.raises(ValueError):
         x + discriminant_group(build_standard("E7neg")).element((1,))
+
+
+@pytest.mark.parametrize(
+    "name,g", [("E7neg", None), ("K3", None), ("LambdaG", 7), ("LambdaG", 50), ("LambdaA1", 6), ("LambdaA1", 10**6)]
+)
+def test_internal_elements_equal_the_checked_constructor(name, g):
+    # elements(n), zero, _class_of, +, - and c*x build elements without the
+    # constructor's checks; each must be the element DiscElement(...) gives
+    # for the unreduced residues
+    l = build_standard(name, g=g)
+    grp = discriminant_group(l)
+    f = grp.factors
+    rng = random.Random(f"{name}{g}")
+
+    def assert_checked(x, residues):
+        y = DiscElement(f, residues)
+        assert x == y and hash(x) == hash(y) and x.residues == y.residues, (x, residues)
+
+    assert_checked(grp.zero(), [0] * len(f))
+    for n in (0, 2, -6):
+        for x in islice(grp.elements(n), 40):
+            assert_checked(x, x.residues)
+    for _ in range(40):
+        gy = [rng.randint(-50, 50) for _ in range(l.rank)]
+        assert_checked(grp._class_of(gy), [sum(map(mul, row, gy)) for row in grp._rows])
+        a, b = ([rng.randint(-3 * d, 3 * d) for d in f] for _ in "ab")
+        x, y = grp.element(a), grp.element(b)
+        c = rng.randint(-(10**6), 10**6)
+        assert_checked(x + y, [p + q for p, q in zip(a, b)])
+        assert_checked(x - y, [p - q for p, q in zip(a, b)])
+        assert_checked(-x, [-p for p in a])
+        assert_checked(c * x, [c * p for p in a])
 
 
 def test_element_of_rejects_non_dual_vectors():

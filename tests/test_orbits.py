@@ -1,5 +1,6 @@
 """Orbit invariants, witness search, and locus component counts."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -169,8 +170,19 @@ def test_u_blocks_match_reference_on_shuffled_blocks(seed):
 
 @pytest.mark.parametrize("name", STANDARD_NAMES)
 def test_u_blocks_match_reference_on_standard_lattices(name):
-    l = build_standard(name, g=7 if name in ("LambdaG", "LambdaA1") else None)
-    assert _u_blocks(l) == reference_u_blocks(l)
+    # the positions are scanned once per name and serve every g; they stay
+    # out of the lattice's eq, hash and pickle
+    genera = (2, 3, 7, 100, 10**7) if name in ("LambdaG", "LambdaA1") else (None,)
+    for g in genera:
+        l = build_standard(name, g=g)
+        assert _u_blocks(l) == reference_u_blocks(l), g
+        plain = IntegralLattice(l.gram, l.labels)
+        copy = pickle.loads(pickle.dumps(l))
+        assert plain == l == copy and hash(plain) == hash(l) == hash(copy)
+        assert "_u_blocks" not in vars(copy)
+        assert _u_blocks(copy) == _u_blocks(plain) == reference_u_blocks(l)
+    shared = [_u_blocks(build_standard(name, g=g)) for g in genera]
+    assert all(blocks is shared[0] for blocks in shared)
 
 
 def test_candidates_preconditions():

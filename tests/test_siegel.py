@@ -236,6 +236,25 @@ def test_chi10_exhausts_shipped_table():
         chi10(trunc_k=3, trunc_m=3)
 
 
+def test_chi10_cost_guard_fails_before_any_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("series_mul called")
+
+    monkeypatch.setattr(siegel, "series_mul", no_product)
+    # (1, 60): 178 factors x (1 * 60 * 247) window terms
+    with pytest.raises(ValueError, match=r"needs about 2637960 term products \(178 factors x 14820 window terms\)"):
+        chi10(trunc_k=1, trunc_m=60)
+
+
+def test_chi10_cost_guard_admits_its_limit(monkeypatch):
+    # the (1, 6) window, the largest the tests use, is 16 factors x 186 terms
+    monkeypatch.setattr(siegel, "CHI10_MAX_WORK", 2976)
+    assert chi10(trunc_k=1, trunc_m=6).coefficient(1, 1, 1) == 1
+    monkeypatch.setattr(siegel, "CHI10_MAX_WORK", 2975)
+    with pytest.raises(ValueError, match="above the limit 2975"):
+        chi10(trunc_k=1, trunc_m=6)
+
+
 # the reference row k = 1 of the (1, 6) window reads only c(-1) and c(0)
 @pytest.mark.parametrize(
     "window", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)], ids=lambda w: f"{w[0]}x{w[1]}"
