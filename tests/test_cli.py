@@ -663,6 +663,8 @@ def _exit_stdout_sha256(capsys, commands):
     return digest.hexdigest(), codes
 
 
+# the digest of the commands above; their output does not depend on the
+# Python version
 SURFACE_STDOUT_SHA256 = "d523553580d3604a1985469acf29ccd0b690ab6ed56f799c21590b211422f1cd"
 
 
