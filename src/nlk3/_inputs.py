@@ -1,7 +1,56 @@
-"""Input checks shared by the layers: integers that must not be truncated,
-the line format of the text tables, and the tables shipped with the package."""
+"""What the layers share: the frozen value base Record, integers that must
+not be truncated, the line format of the text tables, and the tables shipped
+with the package."""
 
 from __future__ import annotations
+
+import os
+from operator import attrgetter
+
+
+class Record:
+    """Base of the frozen value types.
+
+    A subclass names its fields, in order, in _fields, and its constructor
+    sets them through _set.  ==, hash and repr read the fields in that order,
+    as a frozen dataclass's do: == holds only between instances of one
+    class, hash is the hash of the field tuple, and repr is
+    Name(field=value!r, ...).  Assigning or deleting an attribute raises
+    AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple through one C-level getter per class; a getter of
+        # one name returns the bare value, so a one-field class wraps it
+        get = attrgetter(*cls._fields)
+        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
+
+    def _set(self, *values):
+        # a dict, not pairs: the instance dict then keeps the class's shared
+        # keys, and reading a field stays as fast as on a dataclass
+        vars(self).update(dict(zip(self._fields, values)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._values
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({body})"
 
 
 def exact_int(x) -> int:
@@ -33,7 +82,7 @@ def text_rows(text: str):
 
 
 def load_shipped(name: str, parse):
-    """parse applied to the text of the shipped table data/<name>."""
-    from importlib.resources import files
-
-    return parse(files("nlk3").joinpath(f"data/{name}").read_text())
+    """parse applied to the text of the shipped table data/<name>, read from
+    the package directory on disk."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        return parse(f.read())

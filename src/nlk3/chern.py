@@ -8,24 +8,18 @@ base plane; everything is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from ._inputs import exact_int, load_shipped, text_rows
+from ._inputs import Record, exact_int, load_shipped, text_rows
 
 
-@dataclass(frozen=True)
-class P2Class:
+class P2Class(Record):
     """Class a0 + a1 z + a2 z^2 on the plane, z the hyperplane class."""
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    _fields = ("c0", "c1", "c2")
 
     def __init__(self, c0=0, c1=0, c2=0):
-        object.__setattr__(self, "c0", Fraction(c0))
-        object.__setattr__(self, "c1", Fraction(c1))
-        object.__setattr__(self, "c2", Fraction(c2))
+        self._set(Fraction(c0), Fraction(c1), Fraction(c2))
 
     def __add__(self, other):
         other = _as_class(other)
@@ -78,19 +72,14 @@ def _int_degree(cls: P2Class, what: str) -> int:
 # nets of conics
 
 
-@dataclass(frozen=True)
-class SurfaceChernData:
+class SurfaceChernData(Record):
     """Intersection numbers of the base surface data (alpha^2, alpha.c1,
     c1^2, c2) driving the net-of-conics counts."""
 
-    alpha2: int
-    alpha_c1: int
-    c1sq: int
-    c2: int
+    _fields = ("alpha2", "alpha_c1", "c1sq", "c2")
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, exact_int(getattr(self, f.name)))
+    def __init__(self, alpha2: int, alpha_c1: int, c1sq: int, c2: int):
+        self._set(*map(exact_int, (alpha2, alpha_c1, c1sq, c2)))
 
 
 def net_invariants(data: SurfaceChernData) -> tuple[int, int, int]:
@@ -121,17 +110,14 @@ def net_counts(data: SurfaceChernData, degree: int = 1) -> tuple[int, int]:
 TABLE_CLASSES = ("a1", "a2", "a3", "a1sq", "a1a2", "delta")
 
 
-@dataclass(frozen=True)
-class UnigonalTable:
+class UnigonalTable(Record):
     """Pushforwards to the plane of the tautological classes a1, a2, a3,
-    a1^2, a1*a2 and of the double-point class delta."""
+    a1^2, a1*a2 and of the double-point class delta, each a P2Class."""
 
-    a1: P2Class
-    a2: P2Class
-    a3: P2Class
-    a1sq: P2Class
-    a1a2: P2Class
-    delta: P2Class
+    _fields = TABLE_CLASSES
+
+    def __init__(self, a1: P2Class, a2: P2Class, a3: P2Class, a1sq: P2Class, a1a2: P2Class, delta: P2Class):
+        self._set(a1, a2, a3, a1sq, a1a2, delta)
 
 
 def loads_unigonal(text: str) -> UnigonalTable:

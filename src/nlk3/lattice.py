@@ -10,13 +10,12 @@ anywhere; rationals are fractions.Fraction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from ._inputs import exact_int, exact_ints, text_rows
+from ._inputs import Record, exact_int, exact_ints, text_rows
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +173,13 @@ def smith_normal_form(m):
 # lattices
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(Record):
     """Integer coordinate vector in a lattice's fixed basis."""
 
-    coords: tuple[int, ...]
+    _fields = ("coords",)
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", exact_ints(coords))
+        self._set(exact_ints(coords))
 
     def __add__(self, other):
         return LatticeVector(x + y for x, y in zip(self.coords, _coords(other), strict=True))
@@ -206,12 +204,11 @@ def _coords(v):
     return exact_ints(v)
 
 
-@dataclass(frozen=True)
-class IntegralLattice:
-    """Even lattice given by an integer Gram matrix and basis labels."""
+class IntegralLattice(Record):
+    """Even lattice given by an integer Gram matrix (a tuple of int tuple
+    rows) and a tuple of basis labels."""
 
-    gram: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+    _fields = ("gram", "labels")
 
     # the Gram blocks of an orthogonal sum whose discriminant group may be
     # built from theirs; build_standard sets it, every other lattice has None
@@ -242,10 +239,9 @@ class IntegralLattice:
                 raise ValueError("label count must match rank")
             if any((" " in s) or not s for s in labels):
                 raise ValueError("labels must be nonempty and contain no spaces")
-        object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "labels", labels)
+        self._set(g, labels)
         # lattices key the discriminant_group cache: hash the Gram only once
-        object.__setattr__(self, "_hash", hash((g, labels)))
+        vars(self)["_hash"] = hash((g, labels))
 
     def __hash__(self):
         return self._hash
@@ -403,7 +399,7 @@ def _standard_template(name) -> IntegralLattice:
     if name in PERIOD_LATTICES:
         blocks = ((((0,),), ("w",)), *blocks)
     lat = IntegralLattice(*_block_diagonal(blocks))
-    object.__setattr__(lat, "_summands", tuple(gram for gram, _ in blocks))
+    vars(lat)["_summands"] = tuple(gram for gram, _ in blocks)
     return lat
 
 
@@ -417,18 +413,15 @@ def _mod2_rep(x: Fraction) -> Fraction:
     return s - 2 if s > 0 else s
 
 
-@dataclass(frozen=True)
-class DiscElement:
-    """Element of a discriminant group, as residues over the invariant factors."""
+class DiscElement(Record):
+    """Element of a discriminant group, as residues (a tuple of ints) over
+    the invariant factors (a tuple of ints)."""
 
-    factors: tuple[int, ...]
-    residues: tuple[int, ...]
+    _fields = ("factors", "residues")
 
     def __init__(self, factors, residues):
         factors = exact_ints(factors)
-        residues = tuple(a % d for a, d in zip(exact_ints(residues), factors, strict=True))
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "residues", residues)
+        self._set(factors, tuple(a % d for a, d in zip(exact_ints(residues), factors, strict=True)))
 
     @classmethod
     def _reduced(cls, factors, residues):
@@ -481,6 +474,12 @@ def _snf_generators(gram) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
 _block_generators = lru_cache(maxsize=8)(_snf_generators)
 
 
+def _rank1_generators(a: int) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
+    """_snf_generators(((a,),)) for a != 0 in closed form: <a> is its own
+    Smith normal form, with u = (sign a) and v = (1)."""
+    return ((abs(a), (1,), (1 if a > 0 else -1,), (a,)),) if abs(a) > 1 else ()
+
+
 def _summand_generators(blocks) -> list[tuple[int, tuple, tuple, tuple]]:
     """_snf_generators of an orthogonal sum of Gram blocks, from the blocks'
     own Smith normal forms: each block's vectors padded out to the whole rank
@@ -490,8 +489,7 @@ def _summand_generators(blocks) -> list[tuple[int, tuple, tuple, tuple]]:
     out = []
     offset = 0
     for block in blocks:
-        # a rank-1 block <a> is its own Smith normal form: not worth a cache slot
-        local = _snf_generators(block) if len(block) == 1 else _block_generators(block)
+        local = _rank1_generators(block[0][0]) if len(block) == 1 else _block_generators(block)
         head, tail = (0,) * offset, (0,) * (n - offset - len(block))
         for f, *vecs in local:
             out.append((f, *((*head, *x, *tail) for x in vecs)))

@@ -10,39 +10,33 @@ with multiplicities mu in {0, 1, 2}, counting the ways alpha = x*beta + y*L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ._inputs import exact_int
+from ._inputs import Record, exact_int
 
 
-@dataclass(frozen=True)
-class NLKey:
+class NLKey(Record):
     """Locus key: genus g, intersection d = beta.L, self-intersection n = beta^2."""
 
-    g: int
-    d: int
-    n: int
+    _fields = ("g", "d", "n")
 
     def __init__(self, g, d, n):
         g, d, n = exact_int(g), exact_int(d), exact_int(n)
         if g < 2:
             raise ValueError("genus must be at least 2")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
+        self._set(g, d, n)
 
 
-@dataclass(frozen=True)
-class NLVectorData:
+class NLVectorData(Record):
     """Vector-side data of an irreducible locus: half-norm of the cutting
     vector, its discriminant class as a multiple of the standard generator,
     and whether the orbit carries the v ~ -v identification."""
 
-    half_norm: Fraction
-    disc_class: int
-    multiplicity_two: bool
+    _fields = ("half_norm", "disc_class", "multiplicity_two")
+
+    def __init__(self, half_norm: Fraction, disc_class: int, multiplicity_two: bool):
+        self._set(half_norm, disc_class, multiplicity_two)
 
 
 def delta(key: NLKey) -> int:

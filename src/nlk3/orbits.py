@@ -12,9 +12,7 @@ witness vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from ._inputs import exact_int
+from ._inputs import Record, exact_int
 from .lattice import (
     DiscElement,
     IntegralLattice,
@@ -27,22 +25,23 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class OrbitCandidate:
-    """Orbit invariants of a primitive vector: norm, divisibility, dual class."""
+class OrbitCandidate(Record):
+    """Orbit invariants of a primitive vector: norm, divisibility, dual class,
+    and a vector realizing them when one was asked for."""
 
-    norm: int
-    divisibility: int
-    dual_class: DiscElement
-    witness: LatticeVector | None = None
+    _fields = ("norm", "divisibility", "dual_class", "witness")
+
+    def __init__(self, norm: int, divisibility: int, dual_class: DiscElement, witness: LatticeVector | None = None):
+        self._set(norm, divisibility, dual_class, witness)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """Irreducible component of a locus, tagged with its classical label."""
 
-    label: str
-    candidate: OrbitCandidate
+    _fields = ("label", "candidate")
+
+    def __init__(self, label: str, candidate: OrbitCandidate):
+        self._set(label, candidate)
 
 
 def _u_blocks(l: IntegralLattice) -> list[tuple[int, int]]:
@@ -205,7 +204,7 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
         if label is None:  # impossible by the discriminant arithmetic; keep loud
             raise RuntimeError(f"unclassified {locus} candidate {cand}")
         if with_witnesses:
-            cand = replace(cand, witness=find_witness(l, cand))
+            cand = OrbitCandidate(cand.norm, cand.divisibility, cand.dual_class, find_witness(l, cand))
         components.append(Component(label, cand))
     return len(components), tuple(components)
 

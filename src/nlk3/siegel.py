@@ -12,11 +12,10 @@ special divisors.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from ._inputs import exact_int, exact_ints, load_shipped, text_rows
+from ._inputs import Record, exact_int, exact_ints, load_shipped, text_rows
 
 
 def default_trunc_l(trunc_k: int, trunc_m: int) -> int:
@@ -25,14 +24,11 @@ def default_trunc_l(trunc_k: int, trunc_m: int) -> int:
     return 2 * max(trunc_k, trunc_m) + 2
 
 
-@dataclass(frozen=True)
-class GenusTwoSeries:
-    """Coefficients of a genus-2 Fourier expansion, exact up to truncation."""
+class GenusTwoSeries(Record):
+    """Coefficients of a genus-2 Fourier expansion, exact up to truncation:
+    a dict (k, l, m) -> nonzero Fraction and the int bounds of its window."""
 
-    coeffs: dict
-    trunc_k: int
-    trunc_m: int
-    trunc_l: int
+    _fields = ("coeffs", "trunc_k", "trunc_m", "trunc_l")
 
     def __init__(self, coeffs, trunc_k: int, trunc_m: int, trunc_l: int | None = None):
         trunc_k, trunc_m = exact_int(trunc_k), exact_int(trunc_m)
@@ -53,10 +49,7 @@ class GenusTwoSeries:
             if k > trunc_k or m > trunc_m or abs(l) > trunc_l:
                 raise ValueError(f"index {key} exceeds truncation ({trunc_k}, {trunc_m}, |l| <= {trunc_l})")
             stored[(k, l, m)] = value
-        object.__setattr__(self, "coeffs", stored)
-        object.__setattr__(self, "trunc_k", trunc_k)
-        object.__setattr__(self, "trunc_m", trunc_m)
-        object.__setattr__(self, "trunc_l", trunc_l)
+        self._set(stored, trunc_k, trunc_m, trunc_l)
 
     def coefficient(self, k: int, l: int, m: int) -> Fraction:
         """Exact coefficient; raises outside the truncation window rather than
@@ -159,13 +152,12 @@ def binomial_pow(monomial, c: int, trunc_k: int, trunc_m: int, trunc_l: int | No
 # the weight-10 cusp form
 
 
-@dataclass(frozen=True)
-class HalfIntegralTable:
-    """Exponents c(m) of the product expansion; c(m) = 0 for m < -1 and the
-    pole coefficient c(-1) is pinned to 2."""
+class HalfIntegralTable(Record):
+    """Exponents c(m) of the product expansion, as a dict m -> nonzero c(m)
+    and the largest m it covers; c(m) = 0 for m < -1 and the pole
+    coefficient c(-1) is pinned to 2."""
 
-    values: dict
-    support_max: int
+    _fields = ("values", "support_max")
 
     def __init__(self, values):
         vals = {}
@@ -177,8 +169,7 @@ class HalfIntegralTable:
                 vals[m] = c
         if vals.get(-1) != 2:
             raise ValueError("pole coefficient c(-1) must be 2")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "support_max", max(vals))
+        self._set(vals, max(vals))
 
     def c(self, m: int) -> int:
         m = exact_int(m)
@@ -355,37 +346,33 @@ def e4e6(trunc_k: int = 1, trunc_m: int = 1, e4: GenusTwoSeries | None = None, e
 # fitting and prediction
 
 
-@dataclass(frozen=True)
-class Weight10Basis:
+class Weight10Basis(Record):
     """The data tables behind the two weight-10 forms E4E6 and chi10: the
     product exponents and the E4 and E6 coefficient series.  A table not
     given is the shipped one; fit_weight10, predict_nl and independence_check
     use the shipped basis when given none."""
 
-    exponents: HalfIntegralTable
-    e4: GenusTwoSeries
-    e6: GenusTwoSeries
+    _fields = ("exponents", "e4", "e6")
 
     def __init__(self, exponents: HalfIntegralTable | None = None, e4: GenusTwoSeries | None = None, e6: GenusTwoSeries | None = None):
-        object.__setattr__(self, "exponents", default_chi10_exponents() if exponents is None else exponents)
-        object.__setattr__(self, "e4", e4_series() if e4 is None else e4)
-        object.__setattr__(self, "e6", e6_series() if e6 is None else e6)
+        self._set(
+            default_chi10_exponents() if exponents is None else exponents,
+            e4_series() if e4 is None else e4,
+            e6_series() if e6 is None else e6,
+        )
 
     def series(self, trunc_k: int, trunc_m: int) -> tuple[GenusTwoSeries, GenusTwoSeries]:
         """(E4E6, chi10) on the window (trunc_k, trunc_m)."""
         return e4e6(trunc_k, trunc_m, self.e4, self.e6), chi10(self.exponents, trunc_k, trunc_m)
 
 
-@dataclass(frozen=True)
-class Weight10Fit:
-    """Coefficients of a form a * E4E6 + b * chi10."""
+class Weight10Fit(Record):
+    """Fraction coefficients of a form a * E4E6 + b * chi10."""
 
-    a: Fraction
-    b: Fraction
+    _fields = ("a", "b")
 
     def __init__(self, a, b):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        self._set(Fraction(a), Fraction(b))
 
 
 def fit_weight10(observations, basis: Weight10Basis | None = None) -> Weight10Fit:

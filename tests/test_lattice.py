@@ -1,6 +1,5 @@
 """Lattice core: SNF, determinants, discriminant groups, complements."""
 
-import dataclasses
 import os
 import pickle
 import random
@@ -438,7 +437,7 @@ def test_lattice_hash_is_the_hash_of_its_fields():
     assert a == b and a is not b
     assert hash(a) == hash(b) == hash((a.gram, a.labels))
     assert discriminant_group(b) is discriminant_group(a)
-    assert [f.name for f in dataclasses.fields(IntegralLattice)] == ["gram", "labels"]
+    assert IntegralLattice._fields == ("gram", "labels")
     assert repr(IntegralLattice([[0, 1], [1, 0]])) == "IntegralLattice(gram=((0, 1), (1, 0)), labels=('b1', 'b2'))"
     assert IntegralLattice([[0, 1], [1, 0]]) != IntegralLattice([[0, 1], [1, 0]], ("e", "f"))
 
@@ -660,9 +659,14 @@ def test_standard_groups_take_no_full_snf(monkeypatch):
     lattice._block_generators.cache_clear()
     for name, g in standard_lattices([3, 4, 50, 10**6]):
         DiscriminantGroup(build_standard(name, g=g))
-    # U, E8neg and E7neg once each, then the rank-1 block <-(2g-2)> per genus
-    assert sorted(ranks) == [1] * 8 + [2, 7, 8]
+    # U, E8neg and E7neg once each; the rank-1 block <-(2g-2)> takes no SNF
+    assert sorted(ranks) == [2, 7, 8]
     assert lattice._block_generators.cache_info().currsize == 3
+
+
+def test_rank1_generators_are_the_snf_ones():
+    for a in (*range(-400, 0), *range(1, 401)):
+        assert lattice._rank1_generators(a) == lattice._snf_generators(((a,),)), a
 
 
 def test_other_lattices_take_the_full_snf(monkeypatch):
