@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from ._inputs import Record, exact_int, exact_ints, text_rows
@@ -210,13 +210,9 @@ class IntegralLattice(Record):
 
     _fields = ("gram", "labels")
 
-    # the Gram blocks of an orthogonal sum whose discriminant group may be
-    # built from theirs; build_standard sets it, every other lattice has None
-    _summands = None
-    # the validated template of the standard name a lattice was built under,
-    # which keeps what the name's lattices share (orbits' U planes);
-    # build_standard sets it, every other lattice has None
-    _template = None
+    # (name, g) of a lattice from build_standard, outside the fields: what its
+    # summands and U planes follow from; every other lattice has None
+    _standard = None
 
     def __init__(self, gram, labels=None):
         g = _freeze(gram)
@@ -247,9 +243,10 @@ class IntegralLattice(Record):
         return self._hash
 
     def __reduce__(self):
-        # string hashes differ between processes, so _hash is not pickled;
-        # nor are _summands and _template, so a copy takes the full Smith
-        # normal form route and keeps its own derived data
+        # string hashes differ between processes, so _hash is not pickled; a
+        # standard lattice is rebuilt by name and keeps its summand route
+        if self._standard is not None:
+            return build_standard, self._standard
         return IntegralLattice, (self.gram, self.labels)
 
     @property
@@ -376,31 +373,36 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
     if name not in _SUMMANDS:
         raise ValueError(f"unknown lattice {name!r}; valid names: {', '.join(STANDARD_NAMES)}")
     template = _standard_template(name)
-    if g is None:
-        return template
-    # only the w entry -(2g-2) is new, and it is an even int: the template's
-    # checks cover the rest, so the fields are set without running them again
-    w = (-(2 * g - 2),)
-    gram = (w + template.gram[0][1:], *template.gram[1:])
+    gram = template.gram
+    if g is not None:
+        gram = ((-(2 * g - 2),) + gram[0][1:], *gram[1:])
+    # the template's checks cover every entry but w's -(2g-2), an even int,
+    # so the fields are set without running them again
     lat = object.__new__(IntegralLattice)
-    vars(lat).update(gram=gram, labels=template.labels, _hash=hash((gram, template.labels)), _template=template)
-    # at g = 2 the pivot w^2 = -2 ties the 2-pivots of E8, and the full Smith
-    # normal form's generator (w - 4*t1 - ...)/2 is not the summand one, w/2
-    if g != 2:
-        vars(lat)["_summands"] = ((w,), *template._summands[1:])
+    vars(lat).update(gram=gram, labels=template.labels, _hash=hash((gram, template.labels)), _standard=(name, g))
     return lat
 
 
 @lru_cache(maxsize=len(_SUMMANDS))
 def _standard_template(name) -> IntegralLattice:
-    """The lattice of a standard name, validated once and shared by every
-    lattice built under that name; a period lattice's w entry is left 0."""
+    """The lattice of a standard name, validated once; every lattice built
+    under that name shares its rows, and a period lattice's w entry is 0."""
     blocks = _SUMMANDS[name]
     if name in PERIOD_LATTICES:
         blocks = ((((0,),), ("w",)), *blocks)
-    lat = IntegralLattice(*_block_diagonal(blocks))
-    vars(lat)["_summands"] = tuple(gram for gram, _ in blocks)
-    return lat
+    return IntegralLattice(*_block_diagonal(blocks))
+
+
+def _summand_blocks(standard):
+    """The Gram blocks of the orthogonal sum build_standard(*standard), or None."""
+    # None for every other lattice, and at g = 2: there the pivot w^2 = -2
+    # ties the 2-pivots of E8, and the full Smith normal form's generator
+    # (w - 4*t1 - ...)/2 is not the summand one, w/2
+    if standard is None or standard[1] == 2:
+        return None
+    name, g = standard
+    blocks = tuple(gram for gram, _ in _SUMMANDS[name])
+    return blocks if g is None else (((-(2 * g - 2),),), *blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +511,18 @@ class DiscriminantGroup:
     on residues through the generator Gram B_ij = (v_i.G.v_j)/(d_i*d_j),
     stored as integers over N = D^2.
 
-    A lattice from build_standard (but LambdaG/LambdaA1 at g = 2) is an
-    orthogonal sum whose group is the sum of its summands' groups.  Its
-    generators come from the summands' own Smith normal forms, which give
-    exactly the nontrivial (d_i, v-columns, u-rows) of the full one: the full
+    A lattice from build_standard (but LambdaG/LambdaA1 at g = 2), or a copy
+    of one, is the orthogonal sum its (name, g) names, and its group is the
+    sum of its summands' groups: their own Smith normal forms give exactly
+    the nontrivial (d_i, v-columns, u-rows) of the full one, since the full
     elimination pivots the lone entry -(2g-2) last and runs the same steps
     for every g >= 3.  Every other lattice takes the full Smith normal form,
     whose global pivot order may interleave its summands.
     """
 
     def __init__(self, lattice: IntegralLattice):
-        if lattice._summands is None:
-            gens = _snf_generators(lattice.gram)
-        else:
-            gens = _summand_generators(lattice._summands)
+        blocks = _summand_blocks(lattice._standard)
+        gens = _snf_generators(lattice.gram) if blocks is None else _summand_generators(blocks)
         self.lattice = lattice
         self.factors = tuple(f for f, _, _, _ in gens)
         self._cols = tuple(col for _, col, _, _ in gens)
@@ -543,10 +543,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
+        return prod(self.factors)
 
     def zero(self) -> DiscElement:
         return DiscElement._reduced(self.factors, (0,) * len(self.factors))
@@ -633,9 +630,9 @@ def disc_quadratic(l: IntegralLattice, x) -> Fraction:
     return group.quadratic(x)
 
 
-def _pairings_gcd(l: IntegralLattice, v) -> tuple[int, list[int]]:
-    """(div(v), G.v): the gcd of the pairings of v with the basis, and those pairings."""
-    gv = _mat_vec(l.gram, list(_coords(v)))
+def _pairings_gcd(l: IntegralLattice, c) -> tuple[int, list[int]]:
+    """(div(v), G.v) from v's checked coordinates c: the gcd of v's pairings with the basis, and those."""
+    gv = _mat_vec(l.gram, c)
     d = gcd(*gv)
     if d == 0:
         raise ValueError("divisibility undefined for vectors pairing to zero with everything")
@@ -644,12 +641,12 @@ def _pairings_gcd(l: IntegralLattice, v) -> tuple[int, list[int]]:
 
 def divisibility(l: IntegralLattice, v) -> int:
     """gcd of the pairings of v with the whole lattice (v nonzero)."""
-    return _pairings_gcd(l, v)[0]
+    return _pairings_gcd(l, _coords(v))[0]
 
 
 def dual_class(l: IntegralLattice, v) -> DiscElement:
     """Class of v/div(v) in the discriminant group."""
-    d, gv = _pairings_gcd(l, v)
+    d, gv = _pairings_gcd(l, _coords(v))
     return discriminant_group(l)._class_of([c // d for c in gv])
 
 
@@ -661,8 +658,8 @@ def orbit_invariants(l: IntegralLattice, v) -> tuple[int, int, DiscElement]:
 
 
 def is_primitive(l: IntegralLattice, v) -> bool:
-    c = _coords(v)
-    return gcd(*c) == 1 if any(c) else False
+    # the zero vector has gcd 0
+    return gcd(*_coords(v)) == 1
 
 
 # ---------------------------------------------------------------------------

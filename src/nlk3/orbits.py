@@ -12,11 +12,15 @@ witness vectors.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._inputs import Record, exact_int
 from .lattice import (
+    STANDARD_NAMES,
     DiscElement,
     IntegralLattice,
     LatticeVector,
+    _standard_template,
     build_standard,
     discriminant_group,
     dual_class,
@@ -50,23 +54,26 @@ def _u_blocks(l: IntegralLattice) -> list[tuple[int, int]]:
     (i, j) spans an orthogonal U exactly when the only nonzero entry of row i
     is gram[i][j] = 1 and the only nonzero entry of row j is gram[j][i].
 
-    The scan runs once per lattice, or once per name for the lattices of
-    build_standard: their w entry -(2g-2) is never 1 and shares no row with
-    a U, so the positions do not depend on g.  The result is kept on the
-    template (or the lattice), outside its fields.
+    A lattice of build_standard is scanned once per name, through its
+    name's template: the w entry -(2g-2) is never 1 and shares no row with
+    a U, so the positions do not depend on g.  Any other lattice is scanned
+    on each call.
     """
-    owner = l._template or l
-    blocks = vars(owner).get("_u_blocks")
-    if blocks is None:
-        n = l.rank
-        blocks = []
-        for i, row in enumerate(l.gram):
-            if row.count(0) == n - 1 and 1 in row:
-                j = row.index(1)
-                if j > i and l.gram[j].count(0) == n - 1:
-                    blocks.append((i, j))
-        vars(owner)["_u_blocks"] = blocks
+    if l._standard is not None:
+        return _standard_u_blocks(l._standard[0])
+    n = l.rank
+    blocks = []
+    for i, row in enumerate(l.gram):
+        if row.count(0) == n - 1 and 1 in row:
+            j = row.index(1)
+            if j > i and l.gram[j].count(0) == n - 1:
+                blocks.append((i, j))
     return blocks
+
+
+@lru_cache(maxsize=len(STANDARD_NAMES))
+def _standard_u_blocks(name: str) -> list[tuple[int, int]]:
+    return _u_blocks(_standard_template(name))
 
 
 def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, ...]:
@@ -95,13 +102,8 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
 # witnesses
 
 
-def _validates(l, cand, coords):
-    v = list(coords)
-    if not any(v):
-        return False
-    if not is_primitive(l, v):
-        return False
-    return orbit_invariants(l, v) == (cand.norm, cand.divisibility, cand.dual_class)
+def _validates(l, cand, v: LatticeVector):
+    return is_primitive(l, v) and orbit_invariants(l, v) == (cand.norm, cand.divisibility, cand.dual_class)
 
 
 def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | None:
@@ -122,19 +124,22 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | No
     if x.order() != d:
         return None
     dy = grp.lift_multiple(x, d)
-    b, rem = divmod(cand.norm - l.norm(dy), 2 * d * d)
+    # each vector is checked once, here, and read unchecked after
+    v = LatticeVector(dy)
+    b, rem = divmod(cand.norm - l.norm(v), 2 * d * d)
     if rem:
         return None
     blocks = _u_blocks(l)
     if len(blocks) < 2:
         raise ValueError("witness search needs two orthogonal hyperbolic planes in the basis")
     # d*y has the candidate's norm exactly when b = 0
-    if b == 0 and _validates(l, cand, dy):
-        return LatticeVector(dy)
+    if b == 0 and _validates(l, cand, v):
+        return v
     e, f = blocks[0]
     dy[e] += d
     dy[f] += d * b
-    return LatticeVector(dy) if _validates(l, cand, dy) else None
+    v = LatticeVector(dy)
+    return v if _validates(l, cand, v) else None
 
 
 # ---------------------------------------------------------------------------

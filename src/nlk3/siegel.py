@@ -215,6 +215,14 @@ def default_chi10_exponents() -> HalfIntegralTable:
 CHI10_MAX_WORK = 10**6
 
 
+def _chi10_factors(table: HalfIntegralTable, r: int, t: int) -> list:
+    """The factors ((r, s, t), c(4rt - s^2)) of chi10's product at one (r, t)
+    whose exponent is nonzero, in s order."""
+    smax = isqrt(4 * r * t + 1)
+    svals = range(-1, 0) if r == t == 0 else range(-smax, smax + 1)
+    return [((r, s, t), e) for s in svals if (e := table.c(4 * r * t - s * s))]
+
+
 def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int = 2) -> GenusTwoSeries:
     """Weight-10 cusp form qt p q * prod (1 - qt^r p^s q^t)^c(4rt - s^2).
 
@@ -223,8 +231,11 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
     meaning r > 0, or t > 0, or r = t = 0 with s < 0.  Exponents vanish below
     argument -1, which bounds |s| by s^2 <= 4rt + 1.
 
-    A product whose factor count times window size exceeds CHI10_MAX_WORK
-    raises ValueError before the first multiplication.
+    A window the exponent table cannot support raises ValueError, naming the
+    first exponent past its support in the product's order; then a product
+    whose factor count times window size exceeds CHI10_MAX_WORK raises
+    ValueError.  Both come before the first multiplication, at a cost bounded
+    by the table's support, not by the window's size.
     """
     if table is None:
         table = default_chi10_exponents()
@@ -234,26 +245,20 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
     # factor terms obey |l| <= k + m + 2 <= trunc_k + trunc_m, so this inner
     # window never clips a contributing term
     inner_l = out_l + 1
-    # every exponent is read before the first product, so a window the table
-    # cannot support fails at once
-    factors = []
-    for r in range(trunc_k):
-        for t in range(trunc_m):
-            if r == 0 and t == 0:
-                svals = range(-1, 0)
-            else:
-                smax = isqrt(4 * r * t + 1)
-                svals = range(-smax, smax + 1)
-            for s in svals:
-                exponent = table.c(4 * r * t - s * s)
-                if exponent:
-                    factors.append(((r, s, t), exponent))
+    # (0, 0) has one factor, and every other (r, t) with r*t = 0 has those of
+    # (0, 1): they are counted, not listed.  The (r, t) with r*t > 0 are few
+    # unless the table runs out, and then they fail within a few, in order.
+    count = 1
+    if trunc_k + trunc_m > 2:
+        count += (trunc_k + trunc_m - 2) * len(_chi10_factors(table, 0, 1))
+    count += sum(len(_chi10_factors(table, r, t)) for r in range(1, trunc_k) for t in range(1, trunc_m))
     window = trunc_k * trunc_m * (2 * inner_l + 1)
-    if len(factors) * window > CHI10_MAX_WORK:
+    if count * window > CHI10_MAX_WORK:
         raise ValueError(
-            f"chi10 window ({trunc_k}, {trunc_m}) needs about {len(factors) * window} term products "
-            f"({len(factors)} factors x {window} window terms), above the limit {CHI10_MAX_WORK}"
+            f"chi10 window ({trunc_k}, {trunc_m}) needs about {count * window} term products "
+            f"({count} factors x {window} window terms), above the limit {CHI10_MAX_WORK}"
         )
+    factors = [f for r in range(trunc_k) for t in range(trunc_m) for f in _chi10_factors(table, r, t)]
     prod = series_one(trunc_k - 1, trunc_m - 1, inner_l)
     for monomial, exponent in factors:
         prod = series_mul(prod, binomial_pow(monomial, exponent, trunc_k - 1, trunc_m - 1, inner_l))

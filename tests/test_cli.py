@@ -359,20 +359,30 @@ def test_siegel_chi10_exhausted_table(capsys):
 
 def test_siegel_chi10_cost_guard(capsys):
     # the product would take minutes; the factor count x window estimate
-    # rejects it at once
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "siegel", "chi10", "--trunc-k", "1", "--trunc-m", "400", "--index", "1,1,1")
-    elapsed = time.perf_counter() - start
-    assert code == 2
-    assert out == ""
-    assert "needs about 770074400 term products" in json.loads(err)["error"]
-    assert elapsed < 0.5
+    # rejects it at once, also where a million factors with r*t = 0 are
+    # counted, not read
+    windows = {
+        (1, 400): "needs about 770074400 term products",
+        (1, 1000000): "needs about 12000012999986000000 term products (2999998 factors x 4000007000000 window terms)",
+        (1000000, 1): "needs about 12000012999986000000 term products (2999998 factors x 4000007000000 window terms)",
+    }
+    for (trunc_k, trunc_m), message in windows.items():
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "siegel", "chi10", "--trunc-k", str(trunc_k), "--trunc-m", str(trunc_m), "--index", "1,1,1"
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert out == ""
+        assert message in json.loads(err)["error"]
+        assert elapsed < 0.5, (trunc_k, trunc_m)
 
 
-@pytest.mark.parametrize("trunc_m", [60, 400])
+@pytest.mark.parametrize("trunc_m", [60, 400, 1000000])
 def test_siegel_chi10_exhausted_table_fails_before_any_product(capsys, trunc_m):
-    # the exponents are all read before the first product, so the missing
-    # c(11) is reported without first multiplying out the factors before it
+    # the missing c(11) is reported before the first product and before the
+    # cost guard, though the (2, 400) and (2, 10^6) windows alone exceed its
+    # limit; the r = 0 row, all c(-1) and c(0), is counted, not read
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "siegel", "chi10", "--trunc-k", "2", "--trunc-m", str(trunc_m), "--index", "1,1,1")
     elapsed = time.perf_counter() - start

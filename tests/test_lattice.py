@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from copy import deepcopy
 from fractions import Fraction
 from itertools import islice
 from math import gcd, prod
@@ -333,12 +334,14 @@ def test_build_standard_equals_block_diagonal_assembly(name, g):
     # constructor's checks; the result must be the lattice they give
     l = build_standard(name, g=g)
     expected, summands = block_diagonal_build(name, g)
-    assert (l.gram, l.labels, hash(l), l._summands) == (expected.gram, expected.labels, hash(expected), summands)
+    assert (l.gram, l.labels, hash(l), l._standard) == (expected.gram, expected.labels, hash(expected), (name, g))
+    assert lattice._summand_blocks(l._standard) == summands
     assert type(l) is IntegralLattice and {type(x) for row in l.gram for x in row} == {int}
-    assert l == expected
-    copy = pickle.loads(pickle.dumps(l))
-    assert copy == l and hash(copy) == hash(l)
-    assert (copy._summands, copy._template) == (None, None)
+    assert l == expected and expected._standard is None
+    # a copy is rebuilt by name, so it keeps the summand route
+    for copy in (pickle.loads(pickle.dumps(l)), deepcopy(l)):
+        assert copy == l and hash(copy) == hash(l)
+        assert copy._standard == (name, g) and lattice._summand_blocks(copy._standard) == summands
 
 
 def test_standard_lattices_share_their_constant_rows():
@@ -442,7 +445,7 @@ def test_lattice_hash_is_the_hash_of_its_fields():
     assert IntegralLattice([[0, 1], [1, 0]]) != IntegralLattice([[0, 1], [1, 0]], ("e", "f"))
 
 
-def test_lattice_pickled_in_another_process_hashes_equal():
+def test_lattice_pickled_in_another_process_hashes_equal(monkeypatch):
     # string hashes are salted per process, so a pickled hash would be stale
     seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
     code = "import pickle, sys; from nlk3.lattice import build_standard; sys.stdout.write(pickle.dumps(build_standard('LambdaA1', g=5)).hex())"
@@ -459,6 +462,17 @@ def test_lattice_pickled_in_another_process_hashes_equal():
     assert loaded == here
     assert hash(loaded) == hash(here)
     assert {loaded: 1}[here] == 1
+    # the copy is rebuilt by name: its group comes from the summands, with
+    # no full Smith normal form, and equals the original's
+    grp = DiscriminantGroup(here)
+    ranks = recorded_snf_ranks(monkeypatch)
+    copy_grp = DiscriminantGroup(loaded)
+    assert ranks == []
+    assert (copy_grp.factors, copy_grp.lifts) == (grp.factors, grp.lifts)
+    # at g = 2 the summand route does not apply, and a copy takes the full form
+    genus2 = pickle.loads(pickle.dumps(build_standard("LambdaG", g=2)))
+    DiscriminantGroup(genus2)
+    assert ranks == [21]
 
 
 def test_non_integral_entries_raise():
@@ -675,15 +689,14 @@ def test_other_lattices_take_the_full_snf(monkeypatch):
         build_standard("LambdaG", g=2),
         build_standard("LambdaA1", g=2),
         from_text(to_text(lam)),
-        pickle.loads(pickle.dumps(lam)),
         direct_sum(build_standard("E7neg"), build_standard("U")),
         orthogonal_complement(build_standard("K3"), [[1, 1] + [0] * 20])[0],
     ]
     ranks = recorded_snf_ranks(monkeypatch)
     for l in others:
-        assert l._summands is None
+        assert lattice._summand_blocks(l._standard) is None
         DiscriminantGroup(l)
-    assert ranks == [21, 20, 20, 20, 9, 21]
+    assert ranks == [21, 20, 20, 9, 21]
 
 
 def test_summand_snfs_wait_for_the_first_group():

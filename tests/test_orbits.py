@@ -14,10 +14,12 @@ from nlk3.lattice import (
     build_standard,
     direct_sum,
     discriminant_group,
+    from_text,
     divisibility,
     dual_class,
     is_primitive,
     smith_normal_form,
+    to_text,
 )
 from nlk3.orbits import (
     OrbitCandidate,
@@ -170,8 +172,8 @@ def test_u_blocks_match_reference_on_shuffled_blocks(seed):
 
 @pytest.mark.parametrize("name", STANDARD_NAMES)
 def test_u_blocks_match_reference_on_standard_lattices(name):
-    # the positions are scanned once per name and serve every g; they stay
-    # out of the lattice's eq, hash and pickle
+    # the positions are scanned once per name and serve every g; they are
+    # kept outside the lattice, which records only its (name, g)
     genera = (2, 3, 7, 100, 10**7) if name in ("LambdaG", "LambdaA1") else (None,)
     for g in genera:
         l = build_standard(name, g=g)
@@ -179,10 +181,24 @@ def test_u_blocks_match_reference_on_standard_lattices(name):
         plain = IntegralLattice(l.gram, l.labels)
         copy = pickle.loads(pickle.dumps(l))
         assert plain == l == copy and hash(plain) == hash(l) == hash(copy)
-        assert "_u_blocks" not in vars(copy)
+        assert vars(copy) == vars(l) and set(vars(l)) == {"gram", "labels", "_hash", "_standard"}
         assert _u_blocks(copy) == _u_blocks(plain) == reference_u_blocks(l)
     shared = [_u_blocks(build_standard(name, g=g)) for g in genera]
     assert all(blocks is shared[0] for blocks in shared)
+
+
+@pytest.mark.parametrize(
+    "l",
+    [build_standard("K3"), build_standard("LambdaA1", g=7), from_text(to_text(build_standard("LambdaG", g=6)))],
+    ids=["K3", "LambdaA1(7)", "from_text"],
+)
+def test_orbit_work_writes_nothing_into_the_lattice(l):
+    before = dict(vars(l))
+    discriminant_group(l)
+    for norm in (-2, -6):
+        for cand in eichler_candidates(l, norm):
+            assert find_witness(l, cand) is not None
+    assert vars(l) == before
 
 
 def test_candidates_preconditions():
