@@ -10,6 +10,8 @@ enumeration for special divisors) is exposed on its own.
 Everything runs over exact integers and rationals; no floats anywhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from nlk3.chern import (
     P2Class,
     SurfaceChernData,
@@ -90,77 +92,8 @@ from nlk3.siegel import (
     series_truncate,
 )
 
-__all__ = [
-    "P2Class",
-    "SurfaceChernData",
-    "UnigonalTable",
-    "default_unigonal_table",
-    "dumps_unigonal",
-    "loads_unigonal",
-    "net_counts",
-    "net_invariants",
-    "unigonal_a2",
-    "unigonal_counts",
-    "unigonal_double_point",
-    "DiscElement",
-    "DiscriminantGroup",
-    "IntegralLattice",
-    "LatticeVector",
-    "STANDARD_NAMES",
-    "build_standard",
-    "det",
-    "direct_sum",
-    "disc_quadratic",
-    "discriminant_group",
-    "divisibility",
-    "dual_class",
-    "from_text",
-    "is_primitive",
-    "orthogonal_complement",
-    "rescale",
-    "smith_normal_form",
-    "to_text",
-    "NLKey",
-    "NLVectorData",
-    "VARIANTS",
-    "delta",
-    "mu_coefficient",
-    "nl_vector_data",
-    "prim_equiv",
-    "triangular_decomposition",
-    "Component",
-    "LOCI",
-    "OrbitCandidate",
-    "eichler_candidates",
-    "find_witness",
-    "locus_lattice",
-    "nl_component_count",
-    "GenusTwoSeries",
-    "HYPERELLIPTIC_NL",
-    "HalfIntegralTable",
-    "PREDICTIONS",
-    "Weight10Basis",
-    "Weight10Fit",
-    "binomial_pow",
-    "chi10",
-    "default_chi10_exponents",
-    "default_trunc_l",
-    "dumps_coeff_table",
-    "dumps_half_integral",
-    "e4_series",
-    "e4e6",
-    "e6_series",
-    "fit_weight10",
-    "independence_check",
-    "loads_coeff_table",
-    "loads_half_integral",
-    "predict_nl",
-    "series_add",
-    "series_mul",
-    "series_one",
-    "series_scale",
-    "series_truncate",
-    "__version__",
-]
-
 __version__ = "1.0.0"
+
+# the public API: every name imported above, in import order, and the version
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

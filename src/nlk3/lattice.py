@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from ._inputs import Record, exact_int, exact_ints, text_rows
 
@@ -372,7 +372,7 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
 
     if name not in _SUMMANDS:
         raise ValueError(f"unknown lattice {name!r}; valid names: {', '.join(STANDARD_NAMES)}")
-    template = _standard_template(name)
+    template = _standard_template(name)[0]
     gram = template.gram
     if g is not None:
         gram = ((-(2 * g - 2),) + gram[0][1:], *gram[1:])
@@ -384,25 +384,51 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
 
 
 @lru_cache(maxsize=len(_SUMMANDS))
-def _standard_template(name) -> IntegralLattice:
-    """The lattice of a standard name, validated once; every lattice built
-    under that name shares its rows, and a period lattice's w entry is 0."""
-    blocks = _SUMMANDS[name]
-    if name in PERIOD_LATTICES:
-        blocks = ((((0,),), ("w",)), *blocks)
-    return IntegralLattice(*_block_diagonal(blocks))
+def _standard_template(name) -> tuple[IntegralLattice, tuple, list[tuple[int, int]]]:
+    """(template, generators, planes) of a standard name, built once.
+
+    The template is the name's lattice, validated; every lattice built under
+    the name shares its rows, and a period lattice's w entry is 0.  The
+    generators are _snf_generators of the fixed summands (all but <-(2g-2)>)
+    and the planes are hyperbolic_planes: neither depends on g.
+    """
+    summands = _SUMMANDS[name]
+    # a period lattice leads with w, its entry -(2g-2) left 0 here
+    lead = ((((0,),), ("w",)),) if name in PERIOD_LATTICES else ()
+    template = IntegralLattice(*_block_diagonal((*lead, *summands)))
+    # each summand's own Smith normal form, padded out to the whole rank at
+    # its offset (G is block diagonal, so G.v_i pads too), stable-sorted by
+    # invariant factor
+    n = template.rank
+    offset = len(lead)
+    gens = []
+    for gram, _ in summands:
+        head, tail = (0,) * offset, (0,) * (n - offset - len(gram))
+        for f, *vecs in _block_generators(gram):
+            gens.append((f, *((*head, *x, *tail) for x in vecs)))
+        offset += len(gram)
+    gens.sort(key=itemgetter(0))
+    return template, tuple(gens), hyperbolic_planes(template)
 
 
-def _summand_blocks(standard):
-    """The Gram blocks of the orthogonal sum build_standard(*standard), or None."""
-    # None for every other lattice, and at g = 2: there the pivot w^2 = -2
-    # ties the 2-pivots of E8, and the full Smith normal form's generator
-    # (w - 4*t1 - ...)/2 is not the summand one, w/2
-    if standard is None or standard[1] == 2:
-        return None
-    name, g = standard
-    blocks = tuple(gram for gram, _ in _SUMMANDS[name])
-    return blocks if g is None else (((-(2 * g - 2),),), *blocks)
+def hyperbolic_planes(l: IntegralLattice) -> list[tuple[int, int]]:
+    """Indices (i, j) of basis pairs spanning pairwise orthogonal U summands.
+
+    (i, j) spans an orthogonal U exactly when the only nonzero entry of row i
+    is gram[i][j] = 1 and the only nonzero entry of row j is gram[j][i].  A
+    lattice of build_standard takes its name's planes, scanned once; any
+    other lattice is scanned on each call.
+    """
+    if l._standard is not None:
+        return _standard_template(l._standard[0])[2]
+    n = l.rank
+    planes = []
+    for i, row in enumerate(l.gram):
+        if row.count(0) == n - 1 and 1 in row:
+            j = row.index(1)
+            if j > i and l.gram[j].count(0) == n - 1:
+                planes.append((i, j))
+    return planes
 
 
 # ---------------------------------------------------------------------------
@@ -476,30 +502,6 @@ def _snf_generators(gram) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
 _block_generators = lru_cache(maxsize=8)(_snf_generators)
 
 
-def _rank1_generators(a: int) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
-    """_snf_generators(((a,),)) for a != 0 in closed form: <a> is its own
-    Smith normal form, with u = (sign a) and v = (1)."""
-    return ((abs(a), (1,), (1 if a > 0 else -1,), (a,)),) if abs(a) > 1 else ()
-
-
-def _summand_generators(blocks) -> list[tuple[int, tuple, tuple, tuple]]:
-    """_snf_generators of an orthogonal sum of Gram blocks, from the blocks'
-    own Smith normal forms: each block's vectors padded out to the whole rank
-    at its offset (G is block diagonal, so G.v_i pads too), stable-sorted by
-    invariant factor."""
-    n = sum(map(len, blocks))
-    out = []
-    offset = 0
-    for block in blocks:
-        local = _rank1_generators(block[0][0]) if len(block) == 1 else _block_generators(block)
-        head, tail = (0,) * offset, (0,) * (n - offset - len(block))
-        for f, *vecs in local:
-            out.append((f, *((*head, *x, *tail) for x in vecs)))
-        offset += len(block)
-    out.sort(key=lambda t: t[0])
-    return out
-
-
 class DiscriminantGroup:
     """L-dual modulo L for a nondegenerate even lattice L.
 
@@ -521,8 +523,20 @@ class DiscriminantGroup:
     """
 
     def __init__(self, lattice: IntegralLattice):
-        blocks = _summand_blocks(lattice._standard)
-        gens = _snf_generators(lattice.gram) if blocks is None else _summand_generators(blocks)
+        # at g = 2 the pivot w^2 = -2 ties the 2-pivots of E8, and the full
+        # Smith normal form's generator (w - 4*t1 - ...)/2 is not w/2
+        if lattice._standard is None or lattice._standard[1] == 2:
+            gens = _snf_generators(lattice.gram)
+        else:
+            name, g = lattice._standard
+            gens = _standard_template(name)[1]
+            if g is not None:
+                # <-(2g-2)> is its own Smith normal form, with u = (-1) and
+                # v = (1); w/(2g-2) goes first among equal factors
+                a = 2 * g - 2
+                zeros = (0,) * (lattice.rank - 1)
+                w = (a, (1, *zeros), (-1, *zeros), (-a, *zeros))
+                gens = sorted((w, *gens), key=itemgetter(0))
         self.lattice = lattice
         self.factors = tuple(f for f, _, _, _ in gens)
         self._cols = tuple(col for _, col, _, _ in gens)
@@ -577,6 +591,8 @@ class DiscriminantGroup:
 
     def _lift_numerators(self, x: DiscElement) -> list[int]:
         """D * lift(x), an integer vector: the sum of a_i * (D/d_i) * v_i."""
+        if x.factors != self.factors:
+            raise ValueError("elements of different groups")
         out = [0] * self.lattice.rank
         for a, f, col in zip(x.residues, self.factors, self._cols):
             if a:
@@ -594,11 +610,12 @@ class DiscriminantGroup:
         Lifts of one class differ by lattice vectors, so y is canonical.
         m*y is integral exactly when m*x = 0, which is required.
         """
+        numerators = self._lift_numerators(x)
         m = exact_int(m)
         if any(m * a % f for a, f in zip(x.residues, self.factors)):
             raise ValueError(f"{m} does not annihilate the class")
         big = self._exponent
-        return [m * (c % big) // big for c in self._lift_numerators(x)]
+        return [m * (c % big) // big for c in numerators]
 
     def _pairing(self, x: DiscElement, y: DiscElement) -> int:
         """N * lift(x).G.lift(y), summed over the generator Gram."""
@@ -606,14 +623,20 @@ class DiscriminantGroup:
 
     def quadratic(self, x: DiscElement) -> Fraction:
         """q(x) in Q/2Z, as the canonical representative in (-2, 0]."""
+        if x.factors != self.factors:
+            raise ValueError("elements of different groups")
         return _mod2_rep(Fraction(self._pairing(x, x), self._den))
 
     def quadratic_is(self, x: DiscElement, num: int, den: int) -> bool:
         """Whether q(x) = num/den in Q/2Z, in integers only."""
+        if x.factors != self.factors:
+            raise ValueError("elements of different groups")
         return (self._pairing(x, x) * den - num * self._den) % (2 * self._den * den) == 0
 
     def bilinear(self, x: DiscElement, y: DiscElement) -> Fraction:
         """b(x, y) in Q/Z, as the representative in [0, 1)."""
+        if x.factors != self.factors or y.factors != self.factors:
+            raise ValueError("elements of different groups")
         return Fraction(self._pairing(x, y) % self._den, self._den)
 
 

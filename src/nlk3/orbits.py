@@ -12,18 +12,15 @@ witness vectors.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ._inputs import Record, exact_int
 from .lattice import (
-    STANDARD_NAMES,
     DiscElement,
     IntegralLattice,
     LatticeVector,
-    _standard_template,
     build_standard,
     discriminant_group,
     dual_class,
+    hyperbolic_planes,
     is_primitive,
     orbit_invariants,
 )
@@ -48,34 +45,6 @@ class Component(Record):
         self._set(label, candidate)
 
 
-def _u_blocks(l: IntegralLattice) -> list[tuple[int, int]]:
-    """Indices (i, j) of basis pairs spanning pairwise orthogonal U summands.
-
-    (i, j) spans an orthogonal U exactly when the only nonzero entry of row i
-    is gram[i][j] = 1 and the only nonzero entry of row j is gram[j][i].
-
-    A lattice of build_standard is scanned once per name, through its
-    name's template: the w entry -(2g-2) is never 1 and shares no row with
-    a U, so the positions do not depend on g.  Any other lattice is scanned
-    on each call.
-    """
-    if l._standard is not None:
-        return _standard_u_blocks(l._standard[0])
-    n = l.rank
-    blocks = []
-    for i, row in enumerate(l.gram):
-        if row.count(0) == n - 1 and 1 in row:
-            j = row.index(1)
-            if j > i and l.gram[j].count(0) == n - 1:
-                blocks.append((i, j))
-    return blocks
-
-
-@lru_cache(maxsize=len(STANDARD_NAMES))
-def _standard_u_blocks(name: str) -> list[tuple[int, int]]:
-    return _u_blocks(_standard_template(name))
-
-
 def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, ...]:
     """All (divisibility, class) orbit invariants compatible with the norm.
 
@@ -87,7 +56,7 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
     norm = exact_int(norm)
     if norm == 0 or norm % 2 != 0:
         raise ValueError("norm must be a nonzero even integer")
-    if len(_u_blocks(l)) < 2:
+    if len(hyperbolic_planes(l)) < 2:
         raise ValueError("orbit classification needs two orthogonal hyperbolic planes in the basis")
     grp = discriminant_group(l)
     out = []
@@ -129,13 +98,13 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | No
     b, rem = divmod(cand.norm - l.norm(v), 2 * d * d)
     if rem:
         return None
-    blocks = _u_blocks(l)
-    if len(blocks) < 2:
+    planes = hyperbolic_planes(l)
+    if len(planes) < 2:
         raise ValueError("witness search needs two orthogonal hyperbolic planes in the basis")
     # d*y has the candidate's norm exactly when b = 0
     if b == 0 and _validates(l, cand, v):
         return v
-    e, f = blocks[0]
+    e, f = planes[0]
     dy[e] += d
     dy[f] += d * b
     v = LatticeVector(dy)

@@ -119,9 +119,10 @@ def binomial_pow(monomial, c: int, trunc_k: int, trunc_m: int, trunc_l: int | No
     Coefficient of u^j is (-1)^j binom(c, j); for c < 0 that equals
     binom(|c| + j - 1, j), an infinite expansion cut by the window.
     """
-    r, s, t = monomial
-    if trunc_l is None:
-        trunc_l = default_trunc_l(trunc_k, trunc_m)
+    r, s, t = exact_ints(monomial)
+    c = exact_int(c)
+    trunc_k, trunc_m = exact_int(trunc_k), exact_int(trunc_m)
+    trunc_l = default_trunc_l(trunc_k, trunc_m) if trunc_l is None else exact_int(trunc_l)
     if r < 0 or t < 0:
         raise ValueError("monomial exponents of qt and q must be non-negative")
     if (r, s, t) == (0, 0, 0):
@@ -239,6 +240,7 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
     """
     if table is None:
         table = default_chi10_exponents()
+    trunc_k, trunc_m = exact_int(trunc_k), exact_int(trunc_m)
     if trunc_k < 1 or trunc_m < 1:
         raise ValueError("truncation must include the leading index (1, 1, 1)")
     out_l = default_trunc_l(trunc_k, trunc_m)

@@ -588,6 +588,21 @@ def test_caches_are_bounded():
     assert all(size is not None for size in maxsizes.values()), maxsizes
 
 
+# sha256 of ",".join(nlk3.__all__): the 69 imported public names in import
+# order, then __version__
+ALL_SHA256 = "2d64ca6b4dc8a6c1ef9f91bf6d48f953a2ca60faa926e46ead87ebca346584c9"
+
+
+def test_public_api_is_pinned_and_resolves():
+    assert hashlib.sha256(",".join(nlk3.__all__).encode()).hexdigest() == ALL_SHA256
+    assert len(nlk3.__all__) == len(set(nlk3.__all__)) == 70 and nlk3.__all__[-1] == "__version__"
+    for name in nlk3.__all__:
+        assert getattr(nlk3, name) is not None, name
+    namespace = {}
+    exec("from nlk3 import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(nlk3.__all__)
+
+
 # ---------------------------------------------------------------------------
 # stdout contract
 

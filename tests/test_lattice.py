@@ -40,7 +40,7 @@ from nlk3.lattice import (
 )
 from nlk3.nldiv import NLKey
 from nlk3.orbits import eichler_candidates, locus_lattice, nl_component_count
-from nlk3.siegel import GenusTwoSeries, HalfIntegralTable, default_chi10_exponents
+from nlk3.siegel import GenusTwoSeries, HalfIntegralTable, binomial_pow, chi10, default_chi10_exponents
 
 
 def mat_mul(a, b):
@@ -324,8 +324,29 @@ def block_diagonal_build(name, g=None):
     blocks = lattice._SUMMANDS[name]
     if g is not None:
         blocks = ((((-(2 * g - 2),),), ("w",)), *blocks)
-    l = IntegralLattice(*lattice._block_diagonal(blocks))
-    return l, (None if g == 2 else tuple(gram for gram, _ in blocks))
+    return IntegralLattice(*lattice._block_diagonal(blocks))
+
+
+def padded_summand_generators(name):
+    """(d, v-column, u-row, G.v) for each invariant factor d > 1 of each fixed
+    summand's own Smith normal form, padded at the summand's offset in
+    build_standard(name), then stable-sorted by d."""
+    grams = [gram for gram, _ in lattice._SUMMANDS[name]]
+    offset = int(name in lattice.PERIOD_LATTICES)
+    n = offset + sum(map(len, grams))
+    out = []
+    for gram in grams:
+        d, u, v = smith_normal_form(gram)
+
+        def pad(x):
+            return (0,) * offset + tuple(x) + (0,) * (n - offset - len(gram))
+
+        for i in range(len(gram)):
+            if d[i][i] > 1:
+                col = [row[i] for row in v]
+                out.append((d[i][i], pad(col), pad(u[i]), pad(dense_mat_vec(gram, col))))
+        offset += len(gram)
+    return tuple(sorted(out, key=lambda t: t[0]))
 
 
 @pytest.mark.parametrize("name,g", list(standard_lattices([*range(2, 201), 10**6, 10**7])))
@@ -333,15 +354,17 @@ def test_build_standard_equals_block_diagonal_assembly(name, g):
     # build_standard sets a period lattice's fields without running the
     # constructor's checks; the result must be the lattice they give
     l = build_standard(name, g=g)
-    expected, summands = block_diagonal_build(name, g)
+    expected = block_diagonal_build(name, g)
     assert (l.gram, l.labels, hash(l), l._standard) == (expected.gram, expected.labels, hash(expected), (name, g))
-    assert lattice._summand_blocks(l._standard) == summands
+    template, generators, planes = lattice._standard_template(name)
+    assert generators == padded_summand_generators(name)
+    assert planes == lattice.hyperbolic_planes(template)
     assert type(l) is IntegralLattice and {type(x) for row in l.gram for x in row} == {int}
     assert l == expected and expected._standard is None
     # a copy is rebuilt by name, so it keeps the summand route
     for copy in (pickle.loads(pickle.dumps(l)), deepcopy(l)):
         assert copy == l and hash(copy) == hash(l)
-        assert copy._standard == (name, g) and lattice._summand_blocks(copy._standard) == summands
+        assert copy._standard == (name, g)
 
 
 def test_standard_lattices_share_their_constant_rows():
@@ -551,8 +574,19 @@ def _typed_lift_multiple(m):
         (lambda x: GenusTwoSeries({(1, 0, 1): 7}, 3, 3).coefficient(x, 0, 1), 1),
         (_typed_lift_multiple, 6),
         (lambda x: default_chi10_exponents().c(x), 1),
+        (lambda x: chi10(trunc_k=x, trunc_m=2), 2),
+        (lambda x: chi10(trunc_k=2, trunc_m=x), 2),
+        (lambda x: binomial_pow((x, 0, 1), 2, 2, 2), 1),
+        (lambda x: binomial_pow((1, 0, 1), x, 2, 2), 2),
+        (lambda x: binomial_pow((1, 0, 1), 2, x, 2), 2),
+        (lambda x: binomial_pow((1, 0, 1), 2, 2, x), 2),
+        (lambda x: binomial_pow((1, 0, 1), 2, 2, 2, x), 6),
     ],
-    ids=["lambda-g", "lambda-a1", "rescale", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k", "trunc-m", "trunc-l", "chern-data", "series-coefficient", "lift-multiple", "exponent"],
+    ids=[
+        "lambda-g", "lambda-a1", "rescale", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k",
+        "trunc-m", "trunc-l", "chern-data", "series-coefficient", "lift-multiple", "exponent", "chi10-trunc-k",
+        "chi10-trunc-m", "pow-monomial", "pow-exponent", "pow-trunc-k", "pow-trunc-m", "pow-trunc-l",
+    ],
 )
 def test_entry_points_do_not_truncate(call, good):
     assert call(Fraction(2 * good, 2)) == call(float(good)) == call(good)
@@ -588,6 +622,38 @@ def test_disc_group_orders():
     for g in (4, 5, 6, 7, 11):
         assert discriminant_group(build_standard("LambdaG", g=g)).order == 2 * g - 2
         assert discriminant_group(build_standard("LambdaA1", g=g)).order == 2 * (2 * g - 2)
+
+
+def test_group_methods_reject_elements_of_other_groups():
+    # LambdaA1(6)'s (1, 3) once read as q = -1/10 in LambdaG(6)'s group: the
+    # residues were zipped against the wrong factors and silently cut short
+    grp = discriminant_group(build_standard("LambdaG", g=6))
+    own = grp.element((1,))
+    foreign = (
+        discriminant_group(build_standard("LambdaA1", g=6)).element((1, 3)),
+        discriminant_group(build_standard("LambdaG", g=7)).element((1,)),
+        DiscElement((), ()),
+    )
+    for x in foreign:
+        calls = (
+            lambda: grp.quadratic(x),
+            lambda: grp.quadratic_is(x, -1, 10),
+            lambda: grp.bilinear(x, own),
+            lambda: grp.bilinear(own, x),
+            lambda: grp.lift(x),
+            lambda: grp.lift_multiple(x, 10),
+            # the group check comes before the checks of m
+            lambda: grp.lift_multiple(x, 3),
+            lambda: grp.lift_multiple(x, 2.5),
+            lambda: own + x,
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^elements of different groups$"):
+                call()
+    # an element of an equal group is one of this group
+    twin = discriminant_group(from_text(to_text(build_standard("LambdaG", g=6)))).element((3,))
+    assert grp.quadratic(twin) == grp.quadratic(grp.element((3,))) == Fraction(-9, 10)
+    assert grp.lift_multiple(twin, 10) == grp.lift_multiple(grp.element((3,)), 10)
 
 
 def test_disc_group_factors():
@@ -671,16 +737,12 @@ def recorded_snf_ranks(monkeypatch):
 def test_standard_groups_take_no_full_snf(monkeypatch):
     ranks = recorded_snf_ranks(monkeypatch)
     lattice._block_generators.cache_clear()
+    lattice._standard_template.cache_clear()
     for name, g in standard_lattices([3, 4, 50, 10**6]):
         DiscriminantGroup(build_standard(name, g=g))
     # U, E8neg and E7neg once each; the rank-1 block <-(2g-2)> takes no SNF
     assert sorted(ranks) == [2, 7, 8]
     assert lattice._block_generators.cache_info().currsize == 3
-
-
-def test_rank1_generators_are_the_snf_ones():
-    for a in (*range(-400, 0), *range(1, 401)):
-        assert lattice._rank1_generators(a) == lattice._snf_generators(((a,),)), a
 
 
 def test_other_lattices_take_the_full_snf(monkeypatch):
@@ -694,7 +756,8 @@ def test_other_lattices_take_the_full_snf(monkeypatch):
     ]
     ranks = recorded_snf_ranks(monkeypatch)
     for l in others:
-        assert lattice._summand_blocks(l._standard) is None
+        # the routing condition of DiscriminantGroup
+        assert l._standard is None or l._standard[1] == 2
         DiscriminantGroup(l)
     assert ranks == [21, 20, 20, 9, 21]
 

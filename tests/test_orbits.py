@@ -17,13 +17,13 @@ from nlk3.lattice import (
     from_text,
     divisibility,
     dual_class,
+    hyperbolic_planes,
     is_primitive,
     smith_normal_form,
     to_text,
 )
 from nlk3.orbits import (
     OrbitCandidate,
-    _u_blocks,
     eichler_candidates,
     find_witness,
     locus_lattice,
@@ -167,7 +167,7 @@ def test_u_blocks_match_reference_on_shuffled_blocks(seed):
         offset += len(b)
     perm = rng.sample(range(n), n)
     l = IntegralLattice([[gram[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
-    assert _u_blocks(l) == reference_u_blocks(l)
+    assert hyperbolic_planes(l) == reference_u_blocks(l)
 
 
 @pytest.mark.parametrize("name", STANDARD_NAMES)
@@ -177,13 +177,13 @@ def test_u_blocks_match_reference_on_standard_lattices(name):
     genera = (2, 3, 7, 100, 10**7) if name in ("LambdaG", "LambdaA1") else (None,)
     for g in genera:
         l = build_standard(name, g=g)
-        assert _u_blocks(l) == reference_u_blocks(l), g
+        assert hyperbolic_planes(l) == reference_u_blocks(l), g
         plain = IntegralLattice(l.gram, l.labels)
         copy = pickle.loads(pickle.dumps(l))
         assert plain == l == copy and hash(plain) == hash(l) == hash(copy)
         assert vars(copy) == vars(l) and set(vars(l)) == {"gram", "labels", "_hash", "_standard"}
-        assert _u_blocks(copy) == _u_blocks(plain) == reference_u_blocks(l)
-    shared = [_u_blocks(build_standard(name, g=g)) for g in genera]
+        assert hyperbolic_planes(copy) == hyperbolic_planes(plain) == reference_u_blocks(l)
+    shared = [hyperbolic_planes(build_standard(name, g=g)) for g in genera]
     assert all(blocks is shared[0] for blocks in shared)
 
 
@@ -339,7 +339,7 @@ def reference_find_witness(l, cand):
     b, rem = divmod(cand.norm - l.norm(dy), 2 * d * d)
     if rem:
         return None
-    blocks = _u_blocks(l)
+    blocks = hyperbolic_planes(l)
     if validates(dy):
         return LatticeVector(dy)
     e, f = blocks[0]
