@@ -72,12 +72,16 @@ def exact_ints(xs) -> tuple[int, ...]:
     return tuple(map(exact_int, xs))
 
 
-def text_rows(text: str):
+def text_rows(text: str, layout: str | None = None):
     """(file line number, whitespace-separated fields) of each line that has
-    any left once its '#' comment is removed."""
+    any left once its '#' comment is removed.  Given a layout such as
+    'm value', a line with another field count raises ValueError."""
+    width = layout and len(layout.split())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if fields:
+            if width and len(fields) != width:
+                raise ValueError(f"line {lineno}: expected '{layout}', got {len(fields)} fields")
             yield lineno, fields
 
 

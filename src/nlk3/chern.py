@@ -123,9 +123,7 @@ class UnigonalTable(Record):
 def loads_unigonal(text: str) -> UnigonalTable:
     """Parse a pushforward table: lines `name c0 c1 c2`, '#' comments."""
     seen = {}
-    for lineno, parts in text_rows(text):
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 'name c0 c1 c2', got {len(parts)} fields")
+    for lineno, parts in text_rows(text, "name c0 c1 c2"):
         name = parts[0]
         if name not in TABLE_CLASSES:
             raise ValueError(f"line {lineno}: unknown class {name!r}; valid: {', '.join(TABLE_CLASSES)}")

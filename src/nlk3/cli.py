@@ -60,7 +60,8 @@ def _tsv(result) -> str:
     return _cell(result)
 
 
-def _emit(args, inputs: dict, result) -> None:
+def _emit(args, inputs: dict, result, status: int = 0) -> int:
+    """Print the record of a finished command and return its exit status."""
     record = {
         # the command as typed: "verify", or a group and its subcommand
         "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
@@ -72,6 +73,7 @@ def _emit(args, inputs: dict, result) -> None:
         print(_tsv(record["result"]))
     else:
         print(json.dumps(record, sort_keys=True))
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -127,22 +129,19 @@ def _add_lattice_source(parser):
 
 
 def _load_lattice(args, parser):
+    """(lattice, inputs echo) of the lattice given by --file or --standard."""
     if (args.file is None) == (args.standard is None):
         parser.error("provide exactly one of --file or --standard")
-    if args.standard is not None:
-        needs_g = args.standard in lattice.PERIOD_LATTICES
-        if needs_g and args.g is None:
-            parser.error(f"--standard {args.standard} requires --g")
-        if not needs_g and args.g is not None:
-            parser.error(f"--standard {args.standard} does not take --g")
-        return lattice.build_standard(args.standard, g=args.g)
-    return lattice.from_text(_read_text(args.file))
-
-
-def _lattice_inputs(args) -> dict:
-    if args.standard is not None:
-        return {"standard": args.standard, "g": args.g}
-    return {"file": args.file}
+    if args.file is not None:
+        if args.g is not None:
+            parser.error("--file does not take --g")
+        return lattice.from_text(_read_text(args.file)), {"file": args.file}
+    needs_g = args.standard in lattice.PERIOD_LATTICES
+    if needs_g and args.g is None:
+        parser.error(f"--standard {args.standard} requires --g")
+    if not needs_g and args.g is not None:
+        parser.error(f"--standard {args.standard} does not take --g")
+    return lattice.build_standard(args.standard, g=args.g), {"standard": args.standard, "g": args.g}
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +149,14 @@ def _lattice_inputs(args) -> dict:
 
 
 def _cmd_lattice_disc(args, parser):
-    lat = _load_lattice(args, parser)
+    lat, inputs = _load_lattice(args, parser)
     grp = lattice.discriminant_group(lat)
     generators = [
         {"lift": [str(c) for c in lift], "q": grp.quadratic(grp.element(_unit_residues(grp, i)))}
         for i, lift in enumerate(grp.lifts)
     ]
     result = {"order": grp.order, "factors": list(grp.factors), "generators": generators}
-    _emit(args, _lattice_inputs(args), result)
-    return 0
+    return _emit(args, inputs, result)
 
 
 def _unit_residues(grp, i):
@@ -166,7 +164,7 @@ def _unit_residues(grp, i):
 
 
 def _cmd_lattice_complement(args, parser):
-    lat = _load_lattice(args, parser)
+    lat, inputs = _load_lattice(args, parser)
     if not args.vector:
         parser.error("--vector is required at least once")
     comp, embedding = lattice.orthogonal_complement(lat, args.vector)
@@ -177,21 +175,18 @@ def _cmd_lattice_complement(args, parser):
         "labels": list(comp.labels),
         "embedding": [list(col) for col in embedding],
     }
-    inputs = {**_lattice_inputs(args), "vectors": [list(v) for v in args.vector]}
-    _emit(args, inputs, result)
-    return 0
+    return _emit(args, {**inputs, "vectors": [list(v) for v in args.vector]}, result)
 
 
 def _cmd_lattice_snf(args, parser):
-    lat = _load_lattice(args, parser)
+    lat, inputs = _load_lattice(args, parser)
     d, u, v = lattice.smith_normal_form(lat.gram)
     result = {
         "d": [list(row) for row in d],
         "u": [list(row) for row in u],
         "v": [list(row) for row in v],
     }
-    _emit(args, _lattice_inputs(args), result)
-    return 0
+    return _emit(args, inputs, result)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +214,7 @@ def _cmd_nl_components(args, parser):
                 }
         rows.append(row)
     inputs = {"g": args.g, "locus": args.locus, "witnesses": args.witnesses}
-    _emit(args, inputs, {"count": count, "components": rows})
-    return 0
+    return _emit(args, inputs, {"count": count, "components": rows})
 
 
 def _cmd_nl_triangular(args, parser):
@@ -230,8 +224,7 @@ def _cmd_nl_triangular(args, parser):
         for rep, mu in nldiv.triangular_decomposition(key, variant=args.variant)
     ]
     inputs = {"g": args.g, "d": args.d, "n": args.n, "variant": args.variant}
-    _emit(args, inputs, rows)
-    return 0
+    return _emit(args, inputs, rows)
 
 
 def _cmd_nl_vector_data(args, parser):
@@ -243,8 +236,7 @@ def _cmd_nl_vector_data(args, parser):
         "multiplicity_two": data.multiplicity_two,
         "delta": nldiv.delta(key),
     }
-    _emit(args, {"g": args.g, "d": args.d, "n": args.n}, result)
-    return 0
+    return _emit(args, {"g": args.g, "d": args.d, "n": args.n}, result)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +254,7 @@ def _cmd_enum_net(args, parser):
         "c2": args.c2,
         "degree": args.degree,
     }
-    _emit(args, inputs, {"g": g, "d": d, "e": e, "a2": a2, "a11": a11})
-    return 0
+    return _emit(args, inputs, {"g": g, "d": d, "e": e, "a2": a2, "a11": a11})
 
 
 def _cmd_enum_unigonal(args, parser):
@@ -271,78 +262,67 @@ def _cmd_enum_unigonal(args, parser):
         table = chern.default_unigonal_table()
     else:
         table = chern.loads_unigonal(_read_text(args.table))
-    a2 = chern.unigonal_a2(table)
-    dd = chern.unigonal_double_point(table)
-    a2_counts, a11 = chern.unigonal_counts(table)
-    assert a2_counts == a2
-    result = {"a2": a2, "double_point": dd, "a11": a11}
-    _emit(args, {"table": args.table}, result)
-    return 0
+    a2, a11 = chern.unigonal_counts(table)
+    result = {"a2": a2, "double_point": chern.unigonal_double_point(table), "a11": a11}
+    return _emit(args, {"table": args.table}, result)
 
 
 # ---------------------------------------------------------------------------
 # siegel subcommands
 
 
-def _basis(args) -> siegel.Weight10Basis:
-    """The weight-10 basis, with each table given by --e4, --e6 or --exponents
-    read from its file."""
+def _tables(args) -> dict:
+    """The data tables given by --e4, --e6 or --exponents, each read from its
+    file and keyed by its flag; a table not given is left to the library."""
     tables = {}
     for name, parse in (("e4", siegel.loads_coeff_table), ("e6", siegel.loads_coeff_table), ("exponents", siegel.loads_half_integral)):
         path = getattr(args, name, None)
         if path is not None:
             tables[name] = parse(_read_text(path))
-    return siegel.Weight10Basis(**tables)
+    return tables
+
+
+def _emit_coefficient(args, series):
+    """The record of one coefficient of a series, at --index."""
+    k, l, m = args.index
+    inputs = {"trunc_k": args.trunc_k, "trunc_m": args.trunc_m, "index": [k, l, m]}
+    return _emit(args, inputs, {"index": [k, l, m], "coefficient": series.coefficient(k, l, m)})
 
 
 def _cmd_siegel_chi10(args, parser):
-    series = siegel.chi10(_basis(args).exponents, trunc_k=args.trunc_k, trunc_m=args.trunc_m)
-    k, l, m = args.index
-    result = {"index": [k, l, m], "coefficient": series.coefficient(k, l, m)}
-    inputs = {"trunc_k": args.trunc_k, "trunc_m": args.trunc_m, "index": list(args.index)}
-    _emit(args, inputs, result)
-    return 0
+    table = _tables(args).get("exponents")
+    return _emit_coefficient(args, siegel.chi10(table, trunc_k=args.trunc_k, trunc_m=args.trunc_m))
 
 
 def _cmd_siegel_e4e6(args, parser):
-    basis = _basis(args)
-    series = siegel.e4e6(trunc_k=args.trunc_k, trunc_m=args.trunc_m, e4=basis.e4, e6=basis.e6)
-    k, l, m = args.index
-    result = {"index": [k, l, m], "coefficient": series.coefficient(k, l, m)}
-    inputs = {"trunc_k": args.trunc_k, "trunc_m": args.trunc_m, "index": list(args.index)}
-    _emit(args, inputs, result)
-    return 0
+    return _emit_coefficient(args, siegel.e4e6(args.trunc_k, args.trunc_m, **_tables(args)))
 
 
 def _cmd_siegel_fit(args, parser):
     observations = dict(args.obs)
     if len(observations) != len(args.obs):
         parser.error("duplicate observation index")
-    fit = siegel.fit_weight10(observations, basis=_basis(args))
+    fit = siegel.fit_weight10(observations, basis=siegel.Weight10Basis(**_tables(args)))
     result = {
         "a": fit.a,
         "b": fit.b,
         "integral": fit.a.denominator == 1 and fit.b.denominator == 1,
     }
     inputs = {"obs": [f"{k},{l},{m}={v}" for (k, l, m), v in args.obs]}
-    _emit(args, inputs, result)
-    return 0
+    return _emit(args, inputs, result)
 
 
 def _cmd_siegel_predict(args, parser):
     fit = siegel.Weight10Fit(args.a, args.b)
-    value = siegel.predict_nl(fit, args.which, basis=_basis(args))
+    value = siegel.predict_nl(fit, args.which, basis=siegel.Weight10Basis(**_tables(args)))
     inputs = {"a": args.a, "b": args.b, "which": args.which}
-    _emit(args, inputs, {"which": args.which, "value": value})
-    return 0
+    return _emit(args, inputs, {"which": args.which, "value": value})
 
 
 def _cmd_siegel_independence(args, parser):
     fit = siegel.Weight10Fit(args.a, args.b)
-    independent = siegel.independence_check(fit, basis=_basis(args))
-    inputs = {"a": args.a, "b": args.b}
-    _emit(args, inputs, {"independent": independent})
-    return 0
+    independent = siegel.independence_check(fit, basis=siegel.Weight10Basis(**_tables(args)))
+    return _emit(args, {"a": args.a, "b": args.b}, {"independent": independent})
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +481,8 @@ CRITERIA = (
 
 def _cmd_verify(args, parser):
     selected = range(1, len(CRITERIA) + 1)
+    if args.all and args.criterion is not None:
+        parser.error("--all and --criterion are exclusive")
     if args.criterion is not None:
         if not 1 <= args.criterion <= len(CRITERIA):
             parser.error(f"--criterion must be in 1..{len(CRITERIA)}")
@@ -515,14 +497,13 @@ def _cmd_verify(args, parser):
             {
                 "criterion": number,
                 "name": name,
-                "expected": _cell(_plain(want)) if not isinstance(want, str) else want,
-                "actual": _cell(_plain(got)) if not isinstance(got, str) else got,
+                "expected": _cell(_plain(want)),
+                "actual": _cell(_plain(got)),
                 "pass": ok,
             }
         )
     inputs = {"criterion": args.criterion} if args.criterion is not None else {"all": True}
-    _emit(args, inputs, rows)
-    return 3 if failures else 0
+    return _emit(args, inputs, rows, 3 if failures else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +616,7 @@ def main(argv=None) -> int:
         # 2 for computation errors
         code = exc.code if isinstance(exc.code, int) else 0
         return 1 if code == 2 else code
-    except (ValueError, ZeroDivisionError, ArithmeticError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(json.dumps({"error": str(exc), "exact": True}, sort_keys=True), file=sys.stderr)
         return 2
 

@@ -48,12 +48,8 @@ def _mat_vec(gram, x):
 
 
 def _freeze(m):
-    """m as a tuple of int tuples, each entry checked by exact_int unless one
-    type scan over all of them finds ints only."""
-    rows = tuple(map(tuple, m))
-    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
-        return rows
-    return tuple(map(exact_ints, rows))
+    """m as a tuple of int tuples, each row through exact_ints."""
+    return tuple(map(exact_ints, m))
 
 
 def det(m) -> int:
@@ -297,26 +293,29 @@ def rescale(l: IntegralLattice, t: int) -> IntegralLattice:
 # ---------------------------------------------------------------------------
 # standard lattices
 
-_E8_EDGES = dict.fromkeys(((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)), 1)
 # basis t1..t8: chain t1-t2-...-t7 with t8 attached to t5; arms (1,2,4) at t5
-_E7_DIAG = (-6, -2, -2, -2, -2, -2, -2)
-# basis s1..s7 = (t1+2t2, t3..t8) inside E8(-1): the orthogonal complement of t1
-_E7_EDGES = {(0, 1): 2, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (3, 6): 1}
+_E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
 
 
-def _root_gram(diag, edges):
-    g = [[0] * len(diag) for _ in diag]
-    for i, x in enumerate(diag):
-        g[i][i] = x
-    for (i, j), val in edges.items():
-        g[i][j] = g[j][i] = val
+def _e8_gram():
+    g = [[-2 * (i == j) for j in range(8)] for i in range(8)]
+    for i, j in _E8_EDGES:
+        g[i][j] = g[j][i] = 1
     return _freeze(g)
 
 
+# basis s1..s7 of E7(-1), the orthogonal complement of t1 in E8(-1), in
+# t-coordinates: s1 = t1 + 2*t2 and s_i = t_(i+1) for i >= 2
+_E7_IN_E8 = ((1, 2, 0, 0, 0, 0, 0, 0), *map(tuple, _identity(8)[2:]))
+
 # orthogonal summands of the standard lattices: (Gram block, basis labels)
 _U1, _U2, _U3 = ((((0, 1), (1, 0)), (f"e{k}", f"f{k}")) for k in (1, 2, 3))
-_E8T, _E8U = ((_root_gram((-2,) * 8, _E8_EDGES), tuple(f"{p}{i}" for i in range(1, 9))) for p in "tu")
-_E7S = (_root_gram(_E7_DIAG, _E7_EDGES), tuple(f"s{i}" for i in range(1, 8)))
+_E8T, _E8U = ((_e8_gram(), tuple(f"{p}{i}" for i in range(1, 9))) for p in "tu")
+# E7's Gram is the pairing of its images in E8
+_E7S = (
+    tuple(tuple(_dot(x, _mat_vec(_E8T[0], y)) for y in _E7_IN_E8) for x in _E7_IN_E8),
+    tuple(f"s{i}" for i in range(1, 8)),
+)
 _SUMMANDS = {
     "U": (_U1,),
     "E8neg": (_E8T,),
@@ -384,7 +383,7 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
 
 
 @lru_cache(maxsize=len(_SUMMANDS))
-def _standard_template(name) -> tuple[IntegralLattice, tuple, list[tuple[int, int]]]:
+def _standard_template(name) -> tuple[IntegralLattice, tuple, tuple[tuple[int, int], ...]]:
     """(template, generators, planes) of a standard name, built once.
 
     The template is the name's lattice, validated; every lattice built under
@@ -411,8 +410,9 @@ def _standard_template(name) -> tuple[IntegralLattice, tuple, list[tuple[int, in
     return template, tuple(gens), hyperbolic_planes(template)
 
 
-def hyperbolic_planes(l: IntegralLattice) -> list[tuple[int, int]]:
-    """Indices (i, j) of basis pairs spanning pairwise orthogonal U summands.
+def hyperbolic_planes(l: IntegralLattice) -> tuple[tuple[int, int], ...]:
+    """Indices (i, j) of basis pairs spanning pairwise orthogonal U summands,
+    as a tuple: the planes of a standard name are shared by its lattices.
 
     (i, j) spans an orthogonal U exactly when the only nonzero entry of row i
     is gram[i][j] = 1 and the only nonzero entry of row j is gram[j][i].  A
@@ -428,7 +428,7 @@ def hyperbolic_planes(l: IntegralLattice) -> list[tuple[int, int]]:
             j = row.index(1)
             if j > i and l.gram[j].count(0) == n - 1:
                 planes.append((i, j))
-    return planes
+    return tuple(planes)
 
 
 # ---------------------------------------------------------------------------

@@ -103,18 +103,26 @@ def mu_coefficient(target: NLKey, rep: NLKey, variant: str = "d-corrected") -> i
     return count
 
 
+# the largest trial divisor _square_divisors tries: every |Delta| < 10^18
+# is answered, and so is a larger one whose cofactor falls below p^3 first
+TRIAL_DIVISION_MAX = 10**6
+
+
 def _square_divisors(t: int) -> list[int]:
-    """The x >= 1 with x^2 | t, ascending, for t >= 1.
+    """The x >= 1 with x^2 | t = |Delta|, ascending, for t >= 1.
 
     Trial division runs while p^3 <= the cofactor r; after it, every prime
     factor of r is at least p and r < p^3, so r has at most two prime
     factors and holds a square factor only when r is itself a prime square.
-    The cost is O(t^(1/3)), not O(t^(1/2)).
+    The cost is O(t^(1/3)), not O(t^(1/2)); a p past TRIAL_DIVISION_MAX
+    raises ValueError instead.
     """
     roots = [1]
     r = t
     p = 2
     while p * p * p <= r:
+        if p > TRIAL_DIVISION_MAX:
+            raise ValueError(f"Delta = {-t}: its square divisors need trial division past {TRIAL_DIVISION_MAX}")
         e = 0
         while r % p == 0:
             r //= p

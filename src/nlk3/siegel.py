@@ -127,20 +127,14 @@ def binomial_pow(monomial, c: int, trunc_k: int, trunc_m: int, trunc_l: int | No
         raise ValueError("monomial exponents of qt and q must be non-negative")
     if (r, s, t) == (0, 0, 0):
         raise ValueError("monomial must be nonzero")
-    bounds = []
-    if r > 0:
-        bounds.append(trunc_k // r)
-    if t > 0:
-        bounds.append(trunc_m // t)
-    if r == 0 and t == 0:
-        bounds.append(trunc_l // abs(s))
-    jmax = min(bounds)
-    if c >= 0:
-        jmax = min(jmax, c)
+    # u^j lies in the window while j * |e| <= its bound for each nonzero
+    # exponent e; a binomial with c >= 0 also ends at j = c
+    bounds = [c] if c >= 0 else []
+    for e, bound in ((r, trunc_k), (abs(s), trunc_l), (t, trunc_m)):
+        if e:
+            bounds.append(bound // e)
     entries = {}
-    for j in range(jmax + 1):
-        if abs(j * s) > trunc_l:
-            continue
+    for j in range(min(bounds) + 1):
         if c >= 0:
             coeff = (-1) ** j * comb(c, j)
         else:
@@ -184,9 +178,7 @@ class HalfIntegralTable(Record):
 def loads_half_integral(text: str) -> HalfIntegralTable:
     """Parse an exponent table: lines `m value`, '#' comments."""
     values = {}
-    for lineno, parts in text_rows(text):
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'm value', got {len(parts)} fields")
+    for lineno, parts in text_rows(text, "m value"):
         try:
             m, c = int(parts[0]), int(parts[1])
         except ValueError:
@@ -288,9 +280,7 @@ def loads_coeff_table(text: str) -> GenusTwoSeries:
     complete list of nonzero coefficients within them.
     """
     canonical = {}
-    for lineno, parts in text_rows(text):
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 'k l m value', got {len(parts)} fields")
+    for lineno, parts in text_rows(text, "k l m value"):
         try:
             k, l, m = (int(p) for p in parts[:3])
             value = Fraction(parts[3])

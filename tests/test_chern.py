@@ -136,6 +136,7 @@ def test_loader_accepts_comments_and_rationals():
         ("a1 1 0 0\na1 2 0 0", "line 2: duplicate"),
         ("bogus 1 0 0", "line 1: unknown class"),
         ("a1 1 0", "line 1: expected"),
+        ("a1 0 1 0 0  # c0 c1 c2", "^line 1: expected 'name c0 c1 c2', got 5 fields$"),
         ("a1 x 0 0", "line 1: malformed rational"),
     ],
 )

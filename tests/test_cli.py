@@ -232,6 +232,19 @@ def test_lattice_source_validation(capsys):
     assert code == 1
 
 
+def test_ignored_flag_combinations_are_usage_errors(tmp_path, capsys):
+    # --g means nothing to a lattice file, and --all nothing beside one
+    # criterion: each combination is refused, not silently dropped
+    path = tmp_path / "u.txt"
+    path.write_text(to_text(build_standard("U")))
+    code, out, err = run_cli(capsys, "lattice", "disc", "--file", str(path), "--g", "7")
+    assert (code, out) == (1, "") and "--file does not take --g" in err
+    code, out, err = run_cli(capsys, "verify", "--all", "--criterion", "3")
+    assert (code, out) == (1, "") and "--all and --criterion are exclusive" in err
+    code, out, _ = run_cli(capsys, "lattice", "disc", "--file", str(path))
+    assert code == 0 and json.loads(out)["inputs"] == {"file": str(path)}
+
+
 # ---------------------------------------------------------------------------
 # nl commands
 
@@ -267,6 +280,25 @@ def test_triangular_huge_genus_is_cheap(capsys):
     assert code == 0
     assert json.loads(out)["result"] == [{"d": 0, "delta": -39999996, "g": 10000000, "mu": 2, "n": -2}]
     assert elapsed < 1.0
+
+
+def test_triangular_trial_division_is_bounded(capsys):
+    # |Delta| = 10^21 + 117 is prime: trial division would run to its cube
+    # root, so it stops at TRIAL_DIVISION_MAX and exits 2
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "nl", "triangular", "--g", "3", "--d", "1", "--n", "-250000000000000000029")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (
+        f"Delta = -1000000000000000000117: its square divisors need trial division past {nldiv.TRIAL_DIVISION_MAX}"
+    )
+    assert elapsed < 1.0
+    # a larger |Delta| whose cofactor falls below p^3 early is still answered
+    code, out, _ = run_cli(capsys, "nl", "triangular", "--g", "3", "--d", "0", "--n", str(-(2**60)))
+    assert code == 0
+    rows = json.loads(out)["result"]
+    # Delta = -2^62: one representative family per square divisor 2^a
+    assert {row["delta"] for row in rows} == {-(4**k) for k in range(32)}
 
 
 def _triangular_commands():
@@ -545,6 +577,20 @@ def test_verify_fit_criterion_parses_each_siegel_table_once(capsys, monkeypatch)
     assert code == 0
     assert json.loads(out)["result"][0]["pass"] is True
     assert parsed == {"loads_half_integral": 1, "loads_coeff_table": 2}
+
+
+@pytest.mark.parametrize(
+    "command,tables",
+    [("chi10", ["chi10_exponents.tbl"]), ("e4e6", ["e4.tbl", "e6.tbl"])],
+)
+def test_siegel_coefficient_commands_read_only_their_own_tables(capsys, monkeypatch, command, tables):
+    read = []
+    real = siegel.load_shipped
+    monkeypatch.setattr(siegel, "load_shipped", lambda name, parse: read.append(name) or real(name, parse))
+    code, out, _ = run_cli(capsys, "siegel", command, "--index", "1,1,1")
+    assert code == 0
+    assert json.loads(out)["result"]["index"] == [1, 1, 1]
+    assert read == tables
 
 
 def test_verify_criterion_out_of_range(capsys):

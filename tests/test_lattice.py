@@ -312,6 +312,21 @@ def chained_build(name, g=None):
     return l
 
 
+def test_e7_images_span_the_complement_of_t1_in_e8():
+    # s1 = t1 + 2*t2 and s_i = t_(i+1): orthogonal to t1, saturated in E8,
+    # and their pairings are build_standard's E7neg Gram
+    e8 = build_standard("E8neg")
+    images = lattice._E7_IN_E8
+    t1 = (1, 0, 0, 0, 0, 0, 0, 0)
+    assert len(images) == 7 and all(e8.pairing(x, t1) == 0 for x in images)
+    d, _, _ = smith_normal_form(images)
+    assert [d[i][i] for i in range(7)] == [1] * 7
+    gram = tuple(tuple(e8.pairing(x, y) for y in images) for x in images)
+    assert gram == build_standard("E7neg").gram
+    comp, _ = orthogonal_complement(e8, [t1])
+    assert comp.determinant() == build_standard("E7neg").determinant() == -2
+
+
 @pytest.mark.parametrize("name,g", list(standard_lattices([2, 3, 7, 1000])))
 def test_build_standard_equals_chained_direct_sums(name, g):
     l = build_standard(name, g=g)

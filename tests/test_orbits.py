@@ -136,7 +136,7 @@ def reference_u_blocks(l):
             if all(l.gram[i][k] == 0 and l.gram[j][k] == 0 for k in others):
                 blocks.append((i, j))
                 used.update((i, j))
-    return blocks
+    return tuple(blocks)
 
 
 # U; look-alikes that are not orthogonal U summands ([[0,1],[1,2]], a U with
@@ -185,6 +185,19 @@ def test_u_blocks_match_reference_on_standard_lattices(name):
         assert hyperbolic_planes(copy) == hyperbolic_planes(plain) == reference_u_blocks(l)
     shared = [hyperbolic_planes(build_standard(name, g=g)) for g in genera]
     assert all(blocks is shared[0] for blocks in shared)
+
+
+def test_shared_planes_cannot_be_mutated():
+    # a name's planes serve every lattice of the name, so the caller gets a
+    # tuple: mutating it raises and leaves the next lattice's planes intact
+    planes = hyperbolic_planes(build_standard("LambdaG", g=5))
+    with pytest.raises(AttributeError):
+        planes.clear()
+    with pytest.raises(TypeError):
+        planes[0] = (0, 0)
+    later = build_standard("LambdaG", g=9)
+    assert hyperbolic_planes(later) == reference_u_blocks(later) == ((1, 2), (3, 4))
+    assert len(eichler_candidates(later, -2)) == 1
 
 
 @pytest.mark.parametrize(

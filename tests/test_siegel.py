@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +137,34 @@ def test_binomial_pow_rejects_zero_monomial():
         binomial_pow((0, 0, 0), 5, 2, 2)
 
 
+def reference_binomial_pow(monomial, c, trunc_k, trunc_m, trunc_l):
+    """Every term u^j of (1 - u)^c for j up to a far cap, kept when it lies
+    in the window."""
+    r, s, t = monomial
+    out = {}
+    for j in range(60):
+        coeff = (-1) ** j * comb(c, j) if c >= 0 else comb(-c + j - 1, j)
+        if coeff and j * r <= trunc_k and j * t <= trunc_m and abs(j * s) <= trunc_l:
+            out[(j * r, j * s, j * t)] = coeff
+    return out
+
+
+def test_binomial_pow_keeps_exactly_the_terms_in_the_window():
+    # one bound j * |e| <= window per nonzero exponent e, for r = t = 0 too
+    cases = 0
+    for r in range(3):
+        for s in range(-3, 4):
+            for t in range(3):
+                if (r, s, t) == (0, 0, 0):
+                    continue
+                for c in (-7, -1, 0, 1, 2, 5):
+                    for window in ((0, 0, 0), (2, 1, 3), (4, 4, 10), (3, 5, 2)):
+                        got = binomial_pow((r, s, t), c, *window).coeffs
+                        assert got == reference_binomial_pow((r, s, t), c, *window), ((r, s, t), c, window)
+                        cases += 1
+    assert cases == 62 * 6 * 4
+
+
 @settings(deadline=None)
 @given(st.integers(min_value=-200, max_value=200))
 def test_binomial_pow_inverse_identity(c):
@@ -179,6 +207,7 @@ def test_half_integral_round_trip():
     "text,msg",
     [
         ("-1 2\n0", "line 2: expected"),
+        ("-1 2\n# note\n0 1 2", "^line 3: expected 'm value', got 3 fields$"),
         ("-1 2\n0 x", "line 2: malformed"),
         ("-1 2\n-1 2", "line 2: duplicate"),
     ],
@@ -338,6 +367,7 @@ def test_coeff_table_canonicalizes_representatives():
     "text,msg",
     [
         ("0 0 0", "line 1: expected"),
+        ("0 0 0 1\n\n1 0", "^line 3: expected 'k l m value', got 2 fields$"),
         ("0 0 0 x", "line 1: malformed"),
         ("-1 0 0 5", "line 1: negative exponent"),
     ],
