@@ -122,12 +122,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _add_lattice_source(parser):
-    parser.add_argument("--file", help="lattice text file, '-' for standard input")
-    parser.add_argument("--standard", choices=lattice.STANDARD_NAMES, help="shipped lattice by name")
-    parser.add_argument("--g", type=int, help=f"genus parameter for {'/'.join(lattice.PERIOD_LATTICES)}")
-
-
 def _load_lattice(args, parser):
     """(lattice, inputs echo) of the lattice given by --file or --standard."""
     if (args.file is None) == (args.standard is None):
@@ -522,6 +516,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default=argparse.SUPPRESS, help="output format")
+    # a lattice by file or by name
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--file", help="lattice text file, '-' for standard input")
+    source.add_argument("--standard", choices=lattice.STANDARD_NAMES, help="shipped lattice by name")
+    source.add_argument("--g", type=int, help=f"genus parameter for {'/'.join(lattice.PERIOD_LATTICES)}")
     # the data tables behind the two weight-10 forms
     exponents = argparse.ArgumentParser(add_help=False)
     exponents.add_argument("--exponents", help="exponent table file")
@@ -537,71 +536,62 @@ def _build_parser() -> argparse.ArgumentParser:
         form.add_argument(flag, type=_parse_rational, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_lat = sub.add_parser("lattice", help="lattice computations")
-    lat_sub = p_lat.add_subparsers(dest="subcommand", required=True)
-    p = lat_sub.add_parser("disc", help="discriminant group and generator q-values", parents=[common])
-    _add_lattice_source(p)
-    p.set_defaults(handler=_cmd_lattice_disc)
-    p = lat_sub.add_parser("complement", help="saturated orthogonal complement", parents=[common])
-    _add_lattice_source(p)
-    p.add_argument("--vector", action="append", type=_parse_vector, default=[], help="coordinates, repeatable")
-    p.set_defaults(handler=_cmd_lattice_complement)
-    p = lat_sub.add_parser("snf", help="Smith normal form of the Gram matrix", parents=[common])
-    _add_lattice_source(p)
-    p.set_defaults(handler=_cmd_lattice_snf)
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    p_nl = sub.add_parser("nl", help="special-divisor bookkeeping")
-    nl_sub = p_nl.add_subparsers(dest="subcommand", required=True)
-    p = nl_sub.add_parser("components", help="irreducible component count of a locus", parents=[common])
+    def leaf(parent, name, help, handler, *parents):
+        # each leaf is registered here once, and its handler gets the leaf's
+        # own parser, so a usage error it raises prints the leaf's usage
+        p = parent.add_parser(name, help=help, parents=[common, *parents])
+        p.set_defaults(handler=handler, leaf=p)
+        return p
+
+    lat = group("lattice", "lattice computations")
+    leaf(lat, "disc", "discriminant group and generator q-values", _cmd_lattice_disc, source)
+    p = leaf(lat, "complement", "saturated orthogonal complement", _cmd_lattice_complement, source)
+    p.add_argument("--vector", action="append", type=_parse_vector, help="coordinates, repeatable")
+    leaf(lat, "snf", "Smith normal form of the Gram matrix", _cmd_lattice_snf, source)
+
+    nl = group("nl", "special-divisor bookkeeping")
+    p = leaf(nl, "components", "irreducible component count of a locus", _cmd_nl_components)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--locus", required=True)
     p.add_argument("--witnesses", action="store_true", help="attach explicit witness vectors")
-    p.set_defaults(handler=_cmd_nl_components)
-    p = nl_sub.add_parser("triangular", help="decomposition into irreducible keys", parents=[common, key])
+    p = leaf(nl, "triangular", "decomposition into irreducible keys", _cmd_nl_triangular, key)
     p.add_argument("--variant", choices=nldiv.VARIANTS, default="d-corrected")
-    p.set_defaults(handler=_cmd_nl_triangular)
-    p = nl_sub.add_parser("vector-data", help="half-norm, class and multiplicity of a key", parents=[common, key])
-    p.set_defaults(handler=_cmd_nl_vector_data)
+    leaf(nl, "vector-data", "half-norm, class and multiplicity of a key", _cmd_nl_vector_data, key)
 
-    p_enum = sub.add_parser("enum", help="singular-member counts of families")
-    enum_sub = p_enum.add_subparsers(dest="subcommand", required=True)
-    p = enum_sub.add_parser("net", help="cuspidal/binodal counts of a net of conics", parents=[common])
+    enum = group("enum", "singular-member counts of families")
+    p = leaf(enum, "net", "cuspidal/binodal counts of a net of conics", _cmd_enum_net)
     p.add_argument("--alpha2", type=int, required=True)
     p.add_argument("--alphac1", type=int, required=True)
     p.add_argument("--c1sq", type=int, required=True)
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--degree", type=int, default=1)
-    p.set_defaults(handler=_cmd_enum_net)
-    p = enum_sub.add_parser("unigonal", help="counts of the unigonal family", parents=[common])
+    p = leaf(enum, "unigonal", "counts of the unigonal family", _cmd_enum_unigonal)
     p.add_argument("--table", help="pushforward table file")
-    p.set_defaults(handler=_cmd_enum_unigonal)
 
-    p_sie = sub.add_parser("siegel", help="genus-2 modular form arithmetic")
-    sie_sub = p_sie.add_subparsers(dest="subcommand", required=True)
-    weight10 = [common, exponents, eisenstein]
-    p = sie_sub.add_parser("chi10", help="cusp form coefficient from the product expansion", parents=[common, exponents])
+    sie = group("siegel", "genus-2 modular form arithmetic")
+    p = leaf(sie, "chi10", "cusp form coefficient from the product expansion", _cmd_siegel_chi10, exponents)
     p.add_argument("--trunc-k", type=int, default=2)
     p.add_argument("--trunc-m", type=int, default=2)
     p.add_argument("--index", type=_parse_index, required=True, help="k,l,m")
-    p.set_defaults(handler=_cmd_siegel_chi10)
-    p = sie_sub.add_parser("e4e6", help="Eisenstein product coefficient", parents=[common, eisenstein])
+    p = leaf(sie, "e4e6", "Eisenstein product coefficient", _cmd_siegel_e4e6, eisenstein)
     p.add_argument("--trunc-k", type=int, default=1)
     p.add_argument("--trunc-m", type=int, default=1)
     p.add_argument("--index", type=_parse_index, required=True, help="k,l,m")
-    p.set_defaults(handler=_cmd_siegel_e4e6)
-    p = sie_sub.add_parser("fit", help="solve observations against the two weight-10 forms", parents=weight10)
+    p = leaf(sie, "fit", "solve observations against the two weight-10 forms", _cmd_siegel_fit, exponents, eisenstein)
     p.add_argument("--obs", action="append", type=_parse_observation, required=True, help="k,l,m=value, repeatable")
-    p.set_defaults(handler=_cmd_siegel_fit)
-    p = sie_sub.add_parser("predict", help="special-divisor degree from a fitted form", parents=[*weight10, form])
+    p = leaf(sie, "predict", "special-divisor degree from a fitted form", _cmd_siegel_predict, exponents, eisenstein, form)
     p.add_argument("--which", choices=sorted(siegel.PREDICTIONS), required=True)
-    p.set_defaults(handler=_cmd_siegel_predict)
-    p = sie_sub.add_parser("independence", help="compare the fitted form against the hyperelliptic direction", parents=[*weight10, form])
-    p.set_defaults(handler=_cmd_siegel_independence)
+    leaf(
+        sie, "independence", "compare the fitted form against the hyperelliptic direction",
+        _cmd_siegel_independence, exponents, eisenstein, form,
+    )
 
-    p = sub.add_parser("verify", help="run the full reproduction suite", parents=[common])
+    p = leaf(sub, "verify", "run the full reproduction suite", _cmd_verify)
     p.add_argument("--all", action="store_true", help="run every criterion (the default)")
     p.add_argument("--criterion", type=int, help="run a single criterion by number")
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -610,7 +600,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args, parser)
+        # before Python 3.13, argparse reads "--flag=--" as an empty list and
+        # skips the flag's type; refuse it, as 3.13 does
+        for dest, value in vars(args).items():
+            if isinstance(value, list) and [] in (value, *value):
+                args.leaf.error(f"argument --{dest.replace('_', '-')}: '--' is not a value")
+        return args.handler(args, args.leaf)
     except SystemExit as exc:
         # argparse uses status 2 for usage problems; this interface reserves
         # 2 for computation errors

@@ -100,58 +100,31 @@ def smith_normal_form(m):
 
     for k in range(min(rows, cols)):
         while True:
-            # move the first smallest nonzero entry of the trailing block to
-            # (k, k); nothing beats |a| = 1, so the scan stops there
-            pivot = None
-            best = 0
-            for i in range(k, rows):
-                row = a[i]
-                for j in range(k, cols):
-                    x = row[j]
-                    if x and (not best or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-                        if best == 1:
-                            break
-                if best == 1:
-                    break
+            pivot = min(
+                ((abs(a[i][j]), i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j]),
+                default=None,
+            )
             if pivot is None:
                 break
-            if pivot[0] != k:
-                a[pivot[0]], a[k] = a[k], a[pivot[0]]
-                u[pivot[0]], u[k] = u[k], u[pivot[0]]
-            if pivot[1] != k:
-                j = pivot[1]
-                for r in (*a, *v):
-                    r[j], r[k] = r[k], r[j]
-            # euclidean steps shrink |pivot| until row k and column k are clear;
-            # each step reads only row k or column k, which it leaves unchanged,
-            # and touches only the entries facing a nonzero one there
+            _, i, j = pivot
+            a[i], a[k] = a[k], a[i]
+            u[i], u[k] = u[k], u[i]
+            for r in (*a, *v):
+                r[j], r[k] = r[k], r[j]
+            # clear column k with row operations, then row k with column
+            # operations; the remainders they leave go round again
             p = a[k][k]
-            ak, uk = a[k], u[k]
-            a_support = [j for j, x in enumerate(ak) if x]
-            u_support = [j for j, x in enumerate(uk) if x]
             for i in range(k + 1, rows):
-                ai, ui = a[i], u[i]
-                if ai[k]:
-                    q = ai[k] // p
-                    for j in a_support:
-                        ai[j] -= q * ak[j]
-                    for j in u_support:
-                        ui[j] -= q * uk[j]
-            steps = [(j, ak[j] // p) for j in a_support if j > k]
-            if steps:
-                for r in (*a, *v):
-                    c = r[k]
-                    if c:
-                        for j, q in steps:
-                            r[j] -= q * c
-            # a unit pivot leaves no remainders and divides everything
-            if best == 1:
-                break
-            if any(a[i][k] for i in range(k + 1, rows)) or any(ak[j] for j in range(k + 1, cols)):
+                if q := a[i][k] // p:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+            for j in range(k + 1, cols):
+                if q := a[k][j] // p:
+                    for r in (*a, *v):
+                        r[j] -= q * r[k]
+            if any(a[i][k] for i in range(k + 1, rows)) or any(a[k][k + 1 :]):
                 continue
-            # divisibility fix: fold in any entry the pivot does not divide
+            # fold in the first row the pivot does not divide
             offender = next((i for i in range(k + 1, rows) if any(x % p for x in a[i][k + 1 :])), None)
             if offender is None:
                 break
@@ -215,14 +188,13 @@ class IntegralLattice(Record):
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
-        if g != tuple(zip(*g)) or any(g[i][i] % 2 for i in range(n)):
-            # report the first offence in row-major order
-            for i in range(n):
-                if g[i][i] % 2 != 0:
-                    raise ValueError(f"odd diagonal entry {g[i][i]} at position {i}: lattice must be even")
-                for j in range(i):
-                    if g[i][j] != g[j][i]:
-                        raise ValueError(f"Gram matrix not symmetric at ({i}, {j})")
+        # report the first offence in row-major order
+        for i in range(n):
+            if g[i][i] % 2 != 0:
+                raise ValueError(f"odd diagonal entry {g[i][i]} at position {i}: lattice must be even")
+            for j in range(i):
+                if g[i][j] != g[j][i]:
+                    raise ValueError(f"Gram matrix not symmetric at ({i}, {j})")
         if labels is None:
             labels = tuple(f"b{i + 1}" for i in range(n))
         else:

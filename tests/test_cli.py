@@ -96,7 +96,7 @@ def test_lattice_disc_from_standard(capsys):
 
 def test_lattice_disc_from_file(tmp_path, capsys):
     path = tmp_path / "lat.txt"
-    path.write_text(to_text(build_standard("LambdaG", g=5)))
+    path.write_text(to_text(build_standard("LambdaG", g=5)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "lattice", "disc", "--file", str(path))
     assert code == 0
     assert json.loads(out)["result"]["factors"] == [8]
@@ -112,7 +112,7 @@ def test_lattice_disc_from_file(tmp_path, capsys):
 )
 def test_lattice_disc_degenerate_file_exits_two(tmp_path, capsys, text):
     path = tmp_path / "degenerate.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "lattice", "disc", "--file", str(path))
     assert code == 2
     assert out == ""
@@ -121,7 +121,7 @@ def test_lattice_disc_degenerate_file_exits_two(tmp_path, capsys, text):
 
 def test_lattice_disc_file_with_comments(tmp_path, capsys):
     path = tmp_path / "commented.txt"
-    path.write_text("rank 2\n# comment\n0 1  # e.f = 1\n1 0\n")
+    path.write_text("rank 2\n# comment\n0 1  # e.f = 1\n1 0\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "lattice", "disc", "--file", str(path))
     assert code == 0
     assert json.loads(out)["result"] == {"order": 1, "factors": [], "generators": []}
@@ -129,7 +129,7 @@ def test_lattice_disc_file_with_comments(tmp_path, capsys):
 
 def test_lattice_file_error_names_file_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("rank 2\n0 1\n\n1 x\n")
+    path.write_text("rank 2\n0 1\n\n1 x\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "lattice", "disc", "--file", str(path))
     assert code == 2
     assert out == ""
@@ -236,13 +236,33 @@ def test_ignored_flag_combinations_are_usage_errors(tmp_path, capsys):
     # --g means nothing to a lattice file, and --all nothing beside one
     # criterion: each combination is refused, not silently dropped
     path = tmp_path / "u.txt"
-    path.write_text(to_text(build_standard("U")))
+    path.write_text(to_text(build_standard("U")), encoding="utf-8")
     code, out, err = run_cli(capsys, "lattice", "disc", "--file", str(path), "--g", "7")
     assert (code, out) == (1, "") and "--file does not take --g" in err
     code, out, err = run_cli(capsys, "verify", "--all", "--criterion", "3")
     assert (code, out) == (1, "") and "--all and --criterion are exclusive" in err
     code, out, _ = run_cli(capsys, "lattice", "disc", "--file", str(path))
     assert code == 0 and json.loads(out)["inputs"] == {"file": str(path)}
+
+
+@pytest.mark.parametrize(
+    "args,leaf,message",
+    [
+        (("lattice", "disc", "--standard", "U", "--g", "3"), "lattice disc", "--standard U does not take --g"),
+        (("lattice", "complement", "--standard", "U"), "lattice complement", "--vector is required at least once"),
+        (("siegel", "fit", "--obs", "1,1,1=1", "--obs", "1,1,1=2"), "siegel fit", "duplicate observation index"),
+        (("verify", "--all", "--criterion", "3"), "verify", "--all and --criterion are exclusive"),
+        (("enum", "net", "--alpha2=1", "--alphac1=1", "--c1sq=1", "--c2=--"), "enum net", None),
+    ],
+)
+def test_usage_errors_print_the_leaf_usage(capsys, args, leaf, message):
+    # a usage error raised by a handler, like one argparse raises itself,
+    # shows the usage of the command that was typed, not the root's
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: nlk3 {leaf} [-h]")
+    if message is not None:
+        assert err.rstrip("\n").endswith(f"nlk3 {leaf}: error: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +321,30 @@ def test_triangular_trial_division_is_bounded(capsys):
     assert {row["delta"] for row in rows} == {-(4**k) for k in range(32)}
 
 
+@pytest.mark.parametrize(
+    "g,d,n",
+    [
+        # the residue scan would take about 16 s in process
+        (5 * 10**7, 0, -4 * (5 * 10**7 - 1)),
+        # about 10^10 residues for one square divisor
+        (10**30, -99999999999999999999, 0),
+    ],
+)
+def test_triangular_residue_scan_is_bounded(g, d, n):
+    # a subprocess with a timeout, so that an unbounded scan fails the test
+    # instead of hanging it
+    argv = ["nl", "triangular", "--g", str(g), "--d", str(d), "--n", str(n)]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "nlk3.cli", *argv], capture_output=True, encoding="utf-8", timeout=10)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, "")
+    delta = (2 * g - 2) * n - d * d
+    error = json.loads(proc.stderr)["error"]
+    assert error.startswith(f"Delta = {delta}: its decomposition scans ")
+    assert error.endswith(f" residues, past {nldiv.RESIDUE_SCAN_MAX}")
+    assert elapsed < 1.0
+
+
 def _triangular_commands():
     for g in (*range(2, 31), 97, 1000):
         for d in sorted({0, 1, 2, g - 1, 2 * g - 3, 2 * g + 1, -1}):
@@ -339,7 +383,8 @@ def test_vector_data_rejects_nonnegative_discriminant(capsys):
 def test_enum_unigonal_custom_table(tmp_path, capsys):
     table = tmp_path / "t.tbl"
     table.write_text(
-        "a1 18 0 0\na2 0 210 0\na3 0 0 -450\na1sq 0 36 0\na1a2 0 0 -600\ndelta 0 264 0\n"
+        "a1 18 0 0\na2 0 210 0\na3 0 0 -450\na1sq 0 36 0\na1a2 0 0 -600\ndelta 0 264 0\n",
+        encoding="utf-8",
     )
     code, out, _ = run_cli(capsys, "enum", "unigonal", "--table", str(table))
     assert code == 0
@@ -491,12 +536,12 @@ def test_siegel_stdout_sha256(capsys):
     ],
 )
 def test_siegel_table_flags_read_the_given_file(tmp_path, capsys, flag, table, edit, command):
-    shipped = (resources.files("nlk3") / "data" / table).read_text()
+    shipped = (resources.files("nlk3") / "data" / table).read_text(encoding="utf-8")
     old, new = edit
     assert shipped.count(f"\n{old}\n") == 1
     copy, edited = tmp_path / "copy.tbl", tmp_path / "edited.tbl"
-    copy.write_text(shipped)
-    edited.write_text(shipped.replace(f"\n{old}\n", f"\n{new}\n"))
+    copy.write_text(shipped, encoding="utf-8")
+    edited.write_text(shipped.replace(f"\n{old}\n", f"\n{new}\n"), encoding="utf-8")
     default = run_cli(capsys, *command)
     assert default[0] == 0
     assert run_cli(capsys, *command, flag, str(copy)) == default
@@ -606,7 +651,7 @@ def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "nlk3.cli", "enum", "net", "--alpha2", "32", "--alphac1", "-16", "--c1sq", "8", "--c2", "4"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=60,
     )
     assert proc.returncode == 0

@@ -2,11 +2,12 @@
 
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlk3 import nldiv
 from nlk3.nldiv import VARIANTS, NLKey, _square_divisors, delta, mu_coefficient, nl_vector_data, prim_equiv, triangular_decomposition
 from nlk3.orbits import nl_component_count
 
@@ -230,6 +231,22 @@ def test_triangular_huge_discriminant_is_cheap():
     reps = triangular_decomposition(NLKey(10**13, 0, -2))
     assert time.perf_counter() - start < 0.1
     assert [(r.g, r.d, r.n, mu) for r, mu in reps] == [(10**13, 0, -2, 2)]
+
+
+def test_triangular_residue_scan_bound_is_exact(monkeypatch):
+    # the bound counts gcd(x, 2g-2) residues per square divisor x that can
+    # solve x*d_i = d: a key is answered at the bound and refused one below
+    g = 5 * 10**4
+    key = NLKey(g, 0, -4 * (g - 1))
+    m = 2 * g - 2
+    residues = sum(gcd(x, m) for x in _square_divisors(-delta(key)) if key.d % gcd(x, m) == 0)
+    assert residues == 150000
+    monkeypatch.setattr(nldiv, "RESIDUE_SCAN_MAX", residues)
+    want = reference_triangular(key)
+    assert triangular_decomposition(key) == want and want
+    monkeypatch.setattr(nldiv, "RESIDUE_SCAN_MAX", residues - 1)
+    with pytest.raises(ValueError, match=f"Delta = {delta(key)}: its decomposition scans 150000 residues, past 149999"):
+        triangular_decomposition(key)
 
 
 @pytest.mark.parametrize("g", range(3, 41))

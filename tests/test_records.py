@@ -93,7 +93,7 @@ def test_cold_import_loads_no_dataclasses_or_resources():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
