@@ -17,7 +17,6 @@ from nlk3.chern import (
     SurfaceChernData,
     UnigonalTable,
     default_unigonal_table,
-    dumps_unigonal,
     loads_unigonal,
     net_counts,
     net_invariants,
@@ -33,26 +32,20 @@ from nlk3.lattice import (
     STANDARD_NAMES,
     build_standard,
     det,
-    direct_sum,
-    disc_quadratic,
     discriminant_group,
     divisibility,
     dual_class,
     from_text,
     is_primitive,
     orthogonal_complement,
-    rescale,
     smith_normal_form,
-    to_text,
 )
 from nlk3.nldiv import (
     NLKey,
     NLVectorData,
-    VARIANTS,
     delta,
     mu_coefficient,
     nl_vector_data,
-    prim_equiv,
     triangular_decomposition,
 )
 from nlk3.orbits import (
@@ -75,8 +68,6 @@ from nlk3.siegel import (
     chi10,
     default_chi10_exponents,
     default_trunc_l,
-    dumps_coeff_table,
-    dumps_half_integral,
     e4_series,
     e4e6,
     e6_series,
@@ -85,10 +76,8 @@ from nlk3.siegel import (
     loads_coeff_table,
     loads_half_integral,
     predict_nl,
-    series_add,
     series_mul,
     series_one,
-    series_scale,
     series_truncate,
 )
 

@@ -139,14 +139,6 @@ def loads_unigonal(text: str) -> UnigonalTable:
     return UnigonalTable(**seen)
 
 
-def dumps_unigonal(table: UnigonalTable) -> str:
-    lines = ["# pushforward classes on the base plane: name c0 c1 c2"]
-    for name in TABLE_CLASSES:
-        cls = getattr(table, name)
-        lines.append(f"{name} {cls.c0} {cls.c1} {cls.c2}")
-    return "\n".join(lines) + "\n"
-
-
 def default_unigonal_table() -> UnigonalTable:
     return load_shipped("unigonal.tbl", loads_unigonal)
 

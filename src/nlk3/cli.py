@@ -115,6 +115,16 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"malformed rational: {text!r}") from None
 
 
+def _parse_locus(text: str) -> str:
+    # validated here, so an unknown locus is a usage error; the text itself
+    # is kept, so the inputs echo the locus as typed
+    try:
+        orbits._canon_locus(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -215,10 +225,9 @@ def _cmd_nl_triangular(args, parser):
     key = nldiv.NLKey(args.g, args.d, args.n)
     rows = [
         {"g": rep.g, "d": rep.d, "n": rep.n, "mu": mu, "delta": nldiv.delta(rep)}
-        for rep, mu in nldiv.triangular_decomposition(key, variant=args.variant)
+        for rep, mu in nldiv.triangular_decomposition(key)
     ]
-    inputs = {"g": args.g, "d": args.d, "n": args.n, "variant": args.variant}
-    return _emit(args, inputs, rows)
+    return _emit(args, {"g": args.g, "d": args.d, "n": args.n}, rows)
 
 
 def _cmd_nl_vector_data(args, parser):
@@ -555,10 +564,9 @@ def _build_parser() -> argparse.ArgumentParser:
     nl = group("nl", "special-divisor bookkeeping")
     p = leaf(nl, "components", "irreducible component count of a locus", _cmd_nl_components)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--locus", required=True)
+    p.add_argument("--locus", type=_parse_locus, required=True)
     p.add_argument("--witnesses", action="store_true", help="attach explicit witness vectors")
-    p = leaf(nl, "triangular", "decomposition into irreducible keys", _cmd_nl_triangular, key)
-    p.add_argument("--variant", choices=nldiv.VARIANTS, default="d-corrected")
+    leaf(nl, "triangular", "decomposition into irreducible keys", _cmd_nl_triangular, key)
     leaf(nl, "vector-data", "half-norm, class and multiplicity of a key", _cmd_nl_vector_data, key)
 
     enum = group("enum", "singular-member counts of families")
@@ -599,7 +607,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the leaf, not the root, reports a flag it does not take
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
         # before Python 3.13, argparse reads "--flag=--" as an empty list and
         # skips the flag's type; refuse it, as 3.13 does
         for dest, value in vars(args).items():

@@ -251,17 +251,6 @@ class IntegralLattice(Record):
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
-    return IntegralLattice(*_block_diagonal(((a.gram, a.labels), (b.gram, b.labels))))
-
-
-def rescale(l: IntegralLattice, t: int) -> IntegralLattice:
-    t = exact_int(t)
-    if t == 0:
-        raise ValueError("rescale factor must be nonzero")
-    return IntegralLattice([[t * x for x in row] for row in l.gram], l.labels)
-
-
 # ---------------------------------------------------------------------------
 # standard lattices
 
@@ -617,14 +606,6 @@ def discriminant_group(l: IntegralLattice) -> DiscriminantGroup:
     return DiscriminantGroup(l)
 
 
-def disc_quadratic(l: IntegralLattice, x) -> Fraction:
-    """q-value of a discriminant class; x may be a DiscElement or a dual vector."""
-    group = discriminant_group(l)
-    if not isinstance(x, DiscElement):
-        x = group.element_of(x)
-    return group.quadratic(x)
-
-
 def _pairings_gcd(l: IntegralLattice, c) -> tuple[int, list[int]]:
     """(div(v), G.v) from v's checked coordinates c: the gcd of v's pairings with the basis, and those."""
     gv = _mat_vec(l.gram, c)
@@ -687,14 +668,6 @@ def orthogonal_complement(l: IntegralLattice, vectors):
 
 # ---------------------------------------------------------------------------
 # text serialization
-
-
-def to_text(l: IntegralLattice) -> str:
-    lines = [f"rank {l.rank}"]
-    for row in l.gram:
-        lines.append(" ".join(str(x) for x in row))
-    lines.append(" ".join(l.labels))
-    return "\n".join(lines) + "\n"
 
 
 def from_text(text: str) -> IntegralLattice:

@@ -57,28 +57,13 @@ def nl_vector_data(key: NLKey) -> NLVectorData:
     )
 
 
-def prim_equiv(a: NLKey, b: NLKey) -> bool:
-    """Whether two keys cut the same primitive locus: equal d^2 - 2n(g-1) and
-    d congruent mod 2g-2."""
-    if a.g != b.g:
-        raise ValueError("keys of different genus")
-    m = 2 * a.g - 2
-    return delta(a) == delta(b) and (a.d - b.d) % m == 0
-
-
-VARIANTS = ("d-corrected", "as-written")
-
-
-def mu_coefficient(target: NLKey, rep: NLKey, variant: str = "d-corrected") -> int:
+def mu_coefficient(target: NLKey, rep: NLKey) -> int:
     """Multiplicity of the primitive locus of rep inside the locus of target.
 
-    Counts integer pairs (x, y) with (rep.d^2 - 2 rep.n (g-1)) x^2 =
-    target.d^2 - 2 target.n (g-1) and (2g-2) y = target.d - x*c, where c is
-    rep.d (default) or rep.n (variant "as-written", kept for comparison; it
-    fails integrality even on identity decompositions).
+    Counts the integer pairs (x, y) with alpha = x beta + y L: x = +-s for
+    s^2 = Delta(target)/Delta(rep), and (2g-2) y = target.d - x*rep.d.  So
+    mu is 0, 1 or 2.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}")
     if target.g != rep.g:
         raise ValueError("keys of different genus")
     # -Delta = d^2 - 2n(g-1) is multiplicative under alpha = x beta + y L
@@ -93,14 +78,7 @@ def mu_coefficient(target: NLKey, rep: NLKey, variant: str = "d-corrected") -> i
     if s * s != ratio:
         return 0
     m = 2 * target.g - 2
-    c = rep.d if variant == "d-corrected" else rep.n
-    count = 0
-    for x in sorted({s, -s}):
-        if (target.d - x * c) % m == 0:
-            count += 1
-    if count not in (0, 1, 2):
-        raise RuntimeError(f"mu out of range: {count}")
-    return count
+    return sum(1 for x in {s, -s} if (target.d - x * rep.d) % m == 0)
 
 
 # the largest trial divisor _square_divisors tries: every |Delta| < 10^18
@@ -140,7 +118,7 @@ def _square_divisors(t: int) -> list[int]:
     return sorted(roots)
 
 
-def triangular_decomposition(key: NLKey, variant: str = "d-corrected"):
+def triangular_decomposition(key: NLKey):
     """Decompose the locus of key into primitive loci with multiplicities.
 
     Returns ((rep, mu), ...) over canonical representatives: rep.d in
@@ -175,7 +153,7 @@ def triangular_decomposition(key: NLKey, variant: str = "d-corrected"):
             if ni % 2 != 0:
                 continue
             rep = NLKey(g, di, ni)
-            mu = mu_coefficient(key, rep, variant=variant)
+            mu = mu_coefficient(key, rep)
             if mu > 0:
                 out.append((rep, mu))
     out.sort(key=lambda pair: (abs(delta(pair[0])), pair[0].d))

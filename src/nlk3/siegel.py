@@ -64,14 +64,10 @@ def series_one(trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusT
     return GenusTwoSeries({(0, 0, 0): 1}, trunc_k, trunc_m, trunc_l)
 
 
-def _common_window(x: GenusTwoSeries, y: GenusTwoSeries) -> tuple[int, int, int]:
-    """The tighter of two windows: where both series are exact."""
-    return min(x.trunc_k, y.trunc_k), min(x.trunc_m, y.trunc_m), min(x.trunc_l, y.trunc_l)
-
-
 def series_mul(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
-    """Convolution product, truncated to the tighter of the two windows."""
-    tk, tm, tl = _common_window(x, y)
+    """Convolution product, truncated to the tighter of the two windows: where
+    both series are exact."""
+    tk, tm, tl = min(x.trunc_k, y.trunc_k), min(x.trunc_m, y.trunc_m), min(x.trunc_l, y.trunc_l)
     acc: dict = {}
     for (k1, l1, m1), c1 in x.coeffs.items():
         if k1 > tk or m1 > tm:
@@ -82,21 +78,6 @@ def series_mul(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
                 continue
             acc[(k, l, m)] = acc.get((k, l, m), 0) + c1 * c2
     return GenusTwoSeries(acc, tk, tm, tl)
-
-
-def series_add(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
-    tk, tm, tl = _common_window(x, y)
-    acc: dict = {}
-    for src in (x, y):
-        for (k, l, m), c in src.coeffs.items():
-            if k > tk or m > tm or abs(l) > tl:
-                continue
-            acc[(k, l, m)] = acc.get((k, l, m), 0) + c
-    return GenusTwoSeries(acc, tk, tm, tl)
-
-
-def series_scale(c, x: GenusTwoSeries) -> GenusTwoSeries:
-    return GenusTwoSeries({key: c * v for key, v in x.coeffs.items()}, x.trunc_k, x.trunc_m, x.trunc_l)
 
 
 def series_truncate(x: GenusTwoSeries, trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusTwoSeries:
@@ -187,13 +168,6 @@ def loads_half_integral(text: str) -> HalfIntegralTable:
             raise ValueError(f"line {lineno}: duplicate entry for m={m}")
         values[m] = c
     return HalfIntegralTable(values)
-
-
-def dumps_half_integral(table: HalfIntegralTable) -> str:
-    lines = ["# product exponents: m value"]
-    for m in sorted(table.values):
-        lines.append(f"{m} {table.values[m]}")
-    return "\n".join(lines) + "\n"
 
 
 def default_chi10_exponents() -> HalfIntegralTable:
@@ -303,19 +277,6 @@ def loads_coeff_table(text: str) -> GenusTwoSeries:
     else:
         tk = tm = tl = 0
     return GenusTwoSeries(expanded, tk, tm, tl)
-
-
-def dumps_coeff_table(series: GenusTwoSeries) -> str:
-    """Write one symmetry representative (l >= 0, k <= m) per orbit, sorted."""
-    canonical = {}
-    for key, value in series.coeffs.items():
-        canon = _orbit_rep(*key)
-        if canonical.setdefault(canon, value) != value:
-            raise ValueError(f"entries in the symmetry orbit of {canon} disagree")
-    lines = ["# genus-2 Fourier coefficients: k l m value (one representative per symmetry orbit)"]
-    for k, l, m in sorted(canonical):
-        lines.append(f"{k} {l} {m} {canonical[(k, l, m)]}")
-    return "\n".join(lines) + "\n"
 
 
 def e4_series() -> GenusTwoSeries:

@@ -9,9 +9,9 @@ from nlk3.chern import (
     P2Class,
     SurfaceChernData,
     UnigonalTable,
+    TABLE_CLASSES,
     ZETA,
     default_unigonal_table,
-    dumps_unigonal,
     loads_unigonal,
     net_counts,
     net_invariants,
@@ -110,7 +110,8 @@ def test_shipped_table_delta_relation():
 
 def test_table_round_trip():
     t = default_unigonal_table()
-    assert loads_unigonal(dumps_unigonal(t)) == t
+    rows = ((name, getattr(t, name)) for name in TABLE_CLASSES)
+    assert loads_unigonal("".join(f"{name} {c.c0} {c.c1} {c.c2}\n" for name, c in rows)) == t
 
 
 def test_loader_accepts_comments_and_rationals():

@@ -14,7 +14,7 @@ from importlib import resources
 
 from hypothesis import given, settings, strategies as st
 
-from nlk3 import cli, nldiv, orbits, siegel
+from nlk3 import cli, orbits, siegel
 from nlk3.lattice import STANDARD_NAMES
 
 # per call, in process; 40,000 random argv of this grammar each took under
@@ -51,7 +51,7 @@ _GRAMMAR = {
     ("lattice", "complement"): {**_SOURCE, "--vector": _VECTOR},
     ("lattice", "snf"): _SOURCE,
     ("nl", "components"): {"--g": _VALUE, "--locus": st.one_of(st.sampled_from(orbits.LOCI), _GARBAGE), "--witnesses": None},
-    ("nl", "triangular"): {**_KEY, "--variant": st.one_of(st.sampled_from(nldiv.VARIANTS), _GARBAGE)},
+    ("nl", "triangular"): _KEY,
     ("nl", "vector-data"): _KEY,
     ("enum", "net"): {flag: _VALUE for flag in ("--alpha2", "--alphac1", "--c1sq", "--c2", "--degree")},
     ("enum", "unigonal"): {"--table": _FILE},

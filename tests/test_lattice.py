@@ -25,8 +25,6 @@ from nlk3.lattice import (
     LatticeVector,
     build_standard,
     det,
-    direct_sum,
-    disc_quadratic,
     discriminant_group,
     divisibility,
     dual_class,
@@ -34,13 +32,13 @@ from nlk3.lattice import (
     is_primitive,
     orbit_invariants,
     orthogonal_complement,
-    rescale,
     smith_normal_form,
-    to_text,
 )
 from nlk3.nldiv import NLKey
 from nlk3.orbits import eichler_candidates, locus_lattice, nl_component_count
 from nlk3.siegel import GenusTwoSeries, HalfIntegralTable, binomial_pow, chi10, default_chi10_exponents
+
+from lattice_helpers import direct_sum, to_text
 
 
 def mat_mul(a, b):
@@ -264,12 +262,6 @@ def test_e7_is_t1_complement_in_e8():
     assert comp.determinant() == -2
     assert build_standard("E7neg").determinant() == -2
     assert discriminant_group(comp).factors == discriminant_group(build_standard("E7neg")).factors
-
-
-def test_rescale():
-    assert rescale(build_standard("U"), 2).determinant() == -4
-    with pytest.raises(ValueError):
-        rescale(build_standard("U"), 0)
 
 
 def test_direct_sum_det_multiplicative():
@@ -577,7 +569,6 @@ def _typed_lift_multiple(m):
     [
         (lambda x: build_standard("LambdaG", g=x), 5),
         (lambda x: build_standard("LambdaA1", g=x), 5),
-        (lambda x: rescale(build_standard("U"), x), 2),
         (lambda x: eichler_candidates(build_standard("LambdaG", g=5), x), -2),
         (lambda x: nl_component_count(x, "nodal"), 6),
         (lambda x: locus_lattice(x, "a2"), 6),
@@ -598,7 +589,7 @@ def _typed_lift_multiple(m):
         (lambda x: binomial_pow((1, 0, 1), 2, 2, 2, x), 6),
     ],
     ids=[
-        "lambda-g", "lambda-a1", "rescale", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k",
+        "lambda-g", "lambda-a1", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k",
         "trunc-m", "trunc-l", "chern-data", "series-coefficient", "lift-multiple", "exponent", "chi10-trunc-k",
         "chi10-trunc-m", "pow-monomial", "pow-exponent", "pow-trunc-k", "pow-trunc-m", "pow-trunc-l",
     ],
@@ -798,7 +789,8 @@ def test_invariant_factor_product_is_det(name, g):
 def test_pi_class_q_value():
     lg = build_standard("LambdaG", g=6)
     pi = [Fraction(1, 10)] + [Fraction(0)] * 20
-    assert disc_quadratic(lg, pi) == Fraction(-1, 10)
+    grp = discriminant_group(lg)
+    assert grp.quadratic(grp.element_of(pi)) == Fraction(-1, 10)
 
 
 def test_w2_class_q_value():
@@ -806,7 +798,8 @@ def test_w2_class_q_value():
     s1 = la.labels.index("s1")
     w2 = [Fraction(0)] * 20
     w2[s1] = Fraction(1, 2)
-    assert disc_quadratic(la, w2) == Fraction(-3, 2)
+    grp = discriminant_group(la)
+    assert grp.quadratic(grp.element_of(w2)) == Fraction(-3, 2)
 
 
 def test_e7_generator_q_value():
@@ -1024,12 +1017,12 @@ def test_divisibility_basics():
     lg = build_standard("LambdaG", g=6)
     w = [1] + [0] * 20
     assert divisibility(lg, w) == 10
-    assert disc_quadratic(lg, dual_class(lg, w)) == Fraction(-1, 10)
+    assert discriminant_group(lg).quadratic(dual_class(lg, w)) == Fraction(-1, 10)
     la = build_standard("LambdaA1", g=6)
     s1 = [0] * 20
     s1[la.labels.index("s1")] = 1
     assert divisibility(la, s1) == 2
-    assert disc_quadratic(la, dual_class(la, s1)) == Fraction(-3, 2)
+    assert discriminant_group(la).quadratic(dual_class(la, s1)) == Fraction(-3, 2)
 
 
 def test_divisibility_divides_norm():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlk3 import nldiv
-from nlk3.nldiv import VARIANTS, NLKey, _square_divisors, delta, mu_coefficient, nl_vector_data, prim_equiv, triangular_decomposition
+from nlk3.nldiv import NLKey, _square_divisors, delta, mu_coefficient, nl_vector_data, triangular_decomposition
 from nlk3.orbits import nl_component_count
 
 
@@ -43,12 +43,12 @@ def test_vector_data_rejects_nonnegative_delta():
 
 
 def test_prim_equiv():
-    # beta + L shifts (d, n) = (0, -2) to (10, 8): same primitive locus
-    assert prim_equiv(NLKey(6, 0, -2), NLKey(6, 10, 8))
-    assert not prim_equiv(NLKey(6, 0, -2), NLKey(6, 5, 2))
-    assert prim_equiv(NLKey(6, 5, 2), NLKey(6, -5, 2))
-    with pytest.raises(ValueError):
-        prim_equiv(NLKey(5, 0, -2), NLKey(6, 0, -2))
+    # two keys cut the same primitive locus exactly when Delta and d mod 2g-2
+    # agree, i.e. when their vector-side data agree; beta + L shifts
+    # (d, n) = (0, -2) to (10, 8)
+    assert nl_vector_data(NLKey(6, 0, -2)) == nl_vector_data(NLKey(6, 10, 8))
+    assert nl_vector_data(NLKey(6, 0, -2)) != nl_vector_data(NLKey(6, 5, 2))
+    assert nl_vector_data(NLKey(6, 5, 2)) == nl_vector_data(NLKey(6, -5, 2))
 
 
 def test_mu_examples():
@@ -57,18 +57,9 @@ def test_mu_examples():
     assert mu_coefficient(target, NLKey(6, 0, -2)) == 2  # (x, y) = (+-1, 0)
 
 
-def test_mu_as_written_variant_fails_identity():
-    # the uncorrected relation (2g-2) y = d - x*n fails integrality even on
-    # the identity decomposition, which is why it is not the default
-    target = NLKey(6, 0, -2)
-    assert mu_coefficient(target, NLKey(6, 0, -2), variant="as-written") == 0
-
-
 def test_mu_validation():
     with pytest.raises(ValueError):
         mu_coefficient(NLKey(6, 0, -2), NLKey(6, 0, 2))  # T_i < 0
-    with pytest.raises(ValueError):
-        mu_coefficient(NLKey(6, 0, -2), NLKey(6, 5, 2), variant="bogus")
     with pytest.raises(ValueError):
         mu_coefficient(NLKey(5, 0, -2), NLKey(6, 5, 2))
 
@@ -145,10 +136,10 @@ def test_triangular_reps_are_inequivalent_and_reproduce_target_t(data):
         ti = r.d * r.d - 2 * r.n * (g - 1)
         assert ti > 0 and t % ti == 0
         for r2, _ in reps[i + 1 :]:
-            assert not prim_equiv(r, r2)
+            assert (delta(r), r.d % (2 * g - 2)) != (delta(r2), r2.d % (2 * g - 2))
 
 
-def reference_triangular(key, variant="d-corrected"):
+def reference_triangular(key):
     """triangular_decomposition as first shipped: a scan over every d_i in [0, 2g-2)."""
     dlt = delta(key)
     if dlt >= 0:
@@ -171,7 +162,7 @@ def reference_triangular(key, variant="d-corrected"):
                 if ni % 2 != 0:
                     continue
                 rep = NLKey(g, di, ni)
-                mu = mu_coefficient(key, rep, variant=variant)
+                mu = mu_coefficient(key, rep)
                 if mu > 0:
                     out.append((rep, mu))
         x += 1
@@ -179,9 +170,9 @@ def reference_triangular(key, variant="d-corrected"):
     return tuple(out)
 
 
-def _outcome(fn, key, variant):
+def _outcome(fn, key):
     try:
-        return fn(key, variant=variant)
+        return fn(key)
     except ValueError as exc:
         return ("ValueError", str(exc))
 
@@ -194,13 +185,12 @@ def test_triangular_matches_reference_scan():
         for d in (*range(-3, 2 * g + 2), 3 * g, -5 * g):
             for n in (-30, -12, -10, -7, -6, -4, -3, -2, -1, 0, 2):
                 key = NLKey(g, d, n)
-                for variant in VARIANTS:
-                    want = _outcome(reference_triangular, key, variant)
-                    assert _outcome(triangular_decomposition, key, variant) == want, (key, variant)
-                    keys += 1
-                    raised += want[:1] == ("ValueError",)
-    assert keys == 42042
-    assert raised == 1012
+                want = _outcome(reference_triangular, key)
+                assert _outcome(triangular_decomposition, key) == want, key
+                keys += 1
+                raised += want[:1] == ("ValueError",)
+    assert keys == 21021
+    assert raised == 506
 
 
 def test_square_divisors_match_the_scan():
@@ -221,8 +211,7 @@ def test_triangular_matches_reference_scan_on_the_cli_pin_grid():
         for d in sorted({0, 1, 2, g - 1, 2 * g - 3, 2 * g + 1, -1}):
             for n in (-2, -6, -10, -30, 0, 2):
                 key = NLKey(g, d, n)
-                for variant in VARIANTS:
-                    assert _outcome(triangular_decomposition, key, variant) == _outcome(reference_triangular, key, variant)
+                assert _outcome(triangular_decomposition, key) == _outcome(reference_triangular, key)
 
 
 def test_triangular_huge_discriminant_is_cheap():

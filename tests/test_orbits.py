@@ -12,7 +12,6 @@ from nlk3.lattice import (
     IntegralLattice,
     LatticeVector,
     build_standard,
-    direct_sum,
     discriminant_group,
     from_text,
     divisibility,
@@ -20,7 +19,6 @@ from nlk3.lattice import (
     hyperbolic_planes,
     is_primitive,
     smith_normal_form,
-    to_text,
 )
 from nlk3.orbits import (
     OrbitCandidate,
@@ -29,6 +27,8 @@ from nlk3.orbits import (
     locus_lattice,
     nl_component_count,
 )
+
+from lattice_helpers import direct_sum, to_text
 
 
 def _elem(l, coords):
