@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import floordiv, itemgetter, mul
 
 from ._inputs import Record, exact_int, exact_ints, text_rows
 
@@ -201,8 +201,9 @@ class IntegralLattice(Record):
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
                 raise ValueError("label count must match rank")
-            if any((" " in s) or not s for s in labels):
-                raise ValueError("labels must be nonempty and contain no spaces")
+            # from_text splits labels on any whitespace, as str.split does
+            if any(s.split() != [s] for s in labels):
+                raise ValueError("labels must be nonempty and contain no whitespace")
         self._set(g, labels)
         # lattices key the discriminant_group cache: hash the Gram only once
         vars(self)["_hash"] = hash((g, labels))
@@ -344,13 +345,15 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
 
 
 @lru_cache(maxsize=len(_SUMMANDS))
-def _standard_template(name) -> tuple[IntegralLattice, tuple, tuple[tuple[int, int], ...]]:
-    """(template, generators, planes) of a standard name, built once.
+def _standard_template(name) -> tuple[IntegralLattice, tuple, tuple[tuple[int, int], ...], tuple, tuple]:
+    """(template, generators, planes, pairings, supports) of a standard name,
+    built once.
 
     The template is the name's lattice, validated; every lattice built under
     the name shares its rows, and a period lattice's w entry is 0.  The
-    generators are _snf_generators of the fixed summands (all but <-(2g-2)>)
-    and the planes are hyperbolic_planes: neither depends on g.
+    generators are _snf_generators of the fixed summands (all but <-(2g-2)>),
+    the planes are hyperbolic_planes, and the pairings and supports are the
+    generators' _generator_tables: none of them depends on g.
     """
     summands = _SUMMANDS[name]
     # a period lattice leads with w, its entry -(2g-2) left 0 here
@@ -368,7 +371,7 @@ def _standard_template(name) -> tuple[IntegralLattice, tuple, tuple[tuple[int, i
             gens.append((f, *((*head, *x, *tail) for x in vecs)))
         offset += len(gram)
     gens.sort(key=itemgetter(0))
-    return template, tuple(gens), hyperbolic_planes(template)
+    return template, tuple(gens), hyperbolic_planes(template), *_generator_tables(gens)
 
 
 def hyperbolic_planes(l: IntegralLattice) -> tuple[tuple[int, int], ...]:
@@ -441,7 +444,7 @@ class DiscElement(Record):
         return not any(self.residues)
 
     def order(self) -> int:
-        return lcm(1, *(d // gcd(a, d) for a, d in zip(self.residues, self.factors)))
+        return lcm(1, *map(floordiv, self.factors, map(gcd, self.residues, self.factors)))
 
 
 def _snf_generators(gram) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
@@ -463,6 +466,14 @@ def _snf_generators(gram) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
 _block_generators = lru_cache(maxsize=8)(_snf_generators)
 
 
+def _generator_tables(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """(pairings, supports) of the (d_i, v_i, u-row i, G.v_i) of
+    _snf_generators: the matrix of v_i.G.v_j, and each u-row as its nonzero
+    (index, entry) pairs."""
+    pairings = tuple(tuple(_dot(ci, gcj) for _, _, _, gcj in gens) for _, ci, _, _ in gens)
+    return pairings, tuple(tuple((j, c) for j, c in enumerate(row) if c) for _, _, row, _ in gens)
+
+
 class DiscriminantGroup:
     """L-dual modulo L for a nondegenerate even lattice L.
 
@@ -472,15 +483,18 @@ class DiscriminantGroup:
     With D the largest d_i (the exponent of the group; D = 1 for the trivial
     group) every lift is an integer vector over D, and the forms are evaluated
     on residues through the generator Gram B_ij = (v_i.G.v_j)/(d_i*d_j),
-    stored as integers over N = D^2.
+    stored as integers over N = D^2: order and q are integer rules on the
+    residues, and no rank-length vector is formed for them.
 
     A lattice from build_standard (but LambdaG/LambdaA1 at g = 2), or a copy
     of one, is the orthogonal sum its (name, g) names, and its group is the
     sum of its summands' groups: their own Smith normal forms give exactly
     the nontrivial (d_i, v-columns, u-rows) of the full one, since the full
     elimination pivots the lone entry -(2g-2) last and runs the same steps
-    for every g >= 3.  Every other lattice takes the full Smith normal form,
-    whose global pivot order may interleave its summands.
+    for every g >= 3.  The fixed summands' pairings v_i.G.v_j and u-row
+    supports come with the name, and only w's factor is added per g.  Every
+    other lattice takes the full Smith normal form, whose global pivot order
+    may interleave its summands.
     """
 
     def __init__(self, lattice: IntegralLattice):
@@ -488,27 +502,35 @@ class DiscriminantGroup:
         # Smith normal form's generator (w - 4*t1 - ...)/2 is not w/2
         if lattice._standard is None or lattice._standard[1] == 2:
             gens = _snf_generators(lattice.gram)
+            pairings, supports = _generator_tables(gens)
         else:
             name, g = lattice._standard
-            gens = _standard_template(name)[1]
+            _, gens, _, pairings, supports = _standard_template(name)
             if g is not None:
                 # <-(2g-2)> is its own Smith normal form, with u = (-1) and
-                # v = (1); w/(2g-2) goes first among equal factors
+                # v = (1).  2g-2 >= 4 exceeds every fixed factor (E7neg's 2
+                # is the only one), so w/(2g-2) goes last.  w is orthogonal to
+                # the fixed summands: its pairings are -(2g-2) with itself and
+                # 0 across, and its u-row is -1 at w
                 a = 2 * g - 2
                 zeros = (0,) * (lattice.rank - 1)
-                w = (a, (1, *zeros), (-1, *zeros), (-a, *zeros))
-                gens = sorted((w, *gens), key=itemgetter(0))
+                gens = (*gens, (a, (1, *zeros), (-1, *zeros), (-a, *zeros)))
+                pairings = (*(row + (0,) for row in pairings), (0,) * len(pairings) + (-a,))
+                supports = (*supports, ((0, -1),))
         self.lattice = lattice
         self.factors = tuple(f for f, _, _, _ in gens)
         self._cols = tuple(col for _, col, _, _ in gens)
-        # row i of u, applied to G.y, reads off the i-th residue of y
+        # row i of u, applied to G.y, reads off the i-th residue of y;
+        # _class_of reads it through its nonzero (index, entry) pairs, the
+        # supports, and the dense rows are kept as the definition
         self._rows = tuple(row for _, _, row, _ in gens)
+        self._supports = supports
         self._exponent = self.factors[-1] if self.factors else 1
         # d_i | d_j for i < j, so every d_i*d_j divides N
         self._den = self._exponent**2
         self._gram = tuple(
-            tuple(_dot(ci, gcj) * (self._den // (fi * fj)) for fj, _, _, gcj in gens)
-            for ci, fi in zip(self._cols, self.factors)
+            tuple(p * (self._den // (fi * fj)) for p, fj in zip(row, self.factors))
+            for row, fi in zip(pairings, self.factors)
         )
 
     @cached_property
@@ -544,11 +566,15 @@ class DiscriminantGroup:
         gy = _mat_vec(self.lattice.gram, [c.numerator * (m // c.denominator) for c in y])
         if any(c % m for c in gy):
             raise ValueError("vector is not in the dual lattice")
-        return self._class_of([c // m for c in gy])
+        return self._class_of(gy, m)
 
-    def _class_of(self, gy) -> DiscElement:
-        """Class of the dual vector y, given the integer vector G.y."""
-        return DiscElement._reduced(self.factors, tuple(_dot(row, gy) % d for row, d in zip(self._rows, self.factors)))
+    def _class_of(self, gv, div=1) -> DiscElement:
+        """Class of the dual vector y = v/div, given the integer vector G.v
+        (div divides each of its entries)."""
+        return DiscElement._reduced(
+            self.factors,
+            tuple(sum(c * gv[j] for j, c in row) // div % d for row, d in zip(self._supports, self.factors)),
+        )
 
     def _lift_numerators(self, x: DiscElement) -> list[int]:
         """D * lift(x), an integer vector: the sum of a_i * (D/d_i) * v_i."""
@@ -578,27 +604,33 @@ class DiscriminantGroup:
         big = self._exponent
         return [m * (c % big) // big for c in numerators]
 
-    def _pairing(self, x: DiscElement, y: DiscElement) -> int:
-        """N * lift(x).G.lift(y), summed over the generator Gram."""
-        return sum(a * b * bij for a, row in zip(x.residues, self._gram) for b, bij in zip(y.residues, row))
+    def _pairing(self, a, b) -> int:
+        """N * lift(x).G.lift(y) for the classes x and y with residues a and
+        b, summed over the generator Gram."""
+        return sum(map(mul, a, [sum(map(mul, b, row)) for row in self._gram]))
+
+    def _q_is(self, residues, num: int, den: int) -> bool:
+        """Whether q = num/den in Q/2Z for the class with these residues, in
+        integers only."""
+        return (self._pairing(residues, residues) * den - num * self._den) % (2 * self._den * den) == 0
 
     def quadratic(self, x: DiscElement) -> Fraction:
         """q(x) in Q/2Z, as the canonical representative in (-2, 0]."""
         if x.factors != self.factors:
             raise ValueError("elements of different groups")
-        return _mod2_rep(Fraction(self._pairing(x, x), self._den))
+        return _mod2_rep(Fraction(self._pairing(x.residues, x.residues), self._den))
 
     def quadratic_is(self, x: DiscElement, num: int, den: int) -> bool:
         """Whether q(x) = num/den in Q/2Z, in integers only."""
         if x.factors != self.factors:
             raise ValueError("elements of different groups")
-        return (self._pairing(x, x) * den - num * self._den) % (2 * self._den * den) == 0
+        return self._q_is(x.residues, num, den)
 
     def bilinear(self, x: DiscElement, y: DiscElement) -> Fraction:
         """b(x, y) in Q/Z, as the representative in [0, 1)."""
         if x.factors != self.factors or y.factors != self.factors:
             raise ValueError("elements of different groups")
-        return Fraction(self._pairing(x, y) % self._den, self._den)
+        return Fraction(self._pairing(x.residues, y.residues) % self._den, self._den)
 
 
 @lru_cache(maxsize=256)
@@ -623,14 +655,14 @@ def divisibility(l: IntegralLattice, v) -> int:
 def dual_class(l: IntegralLattice, v) -> DiscElement:
     """Class of v/div(v) in the discriminant group."""
     d, gv = _pairings_gcd(l, _coords(v))
-    return discriminant_group(l)._class_of([c // d for c in gv])
+    return discriminant_group(l)._class_of(gv, d)
 
 
 def orbit_invariants(l: IntegralLattice, v) -> tuple[int, int, DiscElement]:
     """(v^2, div(v), class of v/div(v)), all read off the one mat-vec G.v."""
     c = _coords(v)
     d, gv = _pairings_gcd(l, c)
-    return _dot(c, gv), d, discriminant_group(l)._class_of([x // d for x in gv])
+    return _dot(c, gv), d, discriminant_group(l)._class_of(gv, d)
 
 
 def is_primitive(l: IntegralLattice, v) -> bool:

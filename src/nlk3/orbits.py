@@ -12,6 +12,8 @@ witness vectors.
 
 from __future__ import annotations
 
+from math import gcd
+
 from ._inputs import Record, exact_int
 from .lattice import (
     DiscElement,
@@ -19,7 +21,6 @@ from .lattice import (
     LatticeVector,
     build_standard,
     discriminant_group,
-    dual_class,
     hyperbolic_planes,
     is_primitive,
     orbit_invariants,
@@ -62,7 +63,7 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
     out = []
     for x in grp.elements(norm):
         d = x.order()
-        if grp.quadratic_is(x, norm, d * d):
+        if grp._q_is(x.residues, norm, d * d):
             out.append(OrbitCandidate(norm, d, x))
     return tuple(sorted(out, key=lambda c: c.divisibility))
 
@@ -129,6 +130,14 @@ def _canon_locus(locus: str) -> str:
     return s
 
 
+def _dual_residues(grp, label: str) -> tuple[int, ...]:
+    """Residues of the class of e/div(e), e the basis vector of the label:
+    G.e is e's row of the Gram, and div(e) is the gcd of that row."""
+    l = grp.lattice
+    row = l.gram[l.labels.index(label)]
+    return grp._class_of(row, gcd(*row)).residues
+
+
 def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     """Number of irreducible components of a lattice-defined locus in genus g,
     with classical labels and the orbit candidate behind each component.
@@ -158,23 +167,26 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     name, norm = _CUT_OUT_BY[locus]
     l = build_standard(name, g=g)
     cands = eichler_candidates(l, norm)
-    # div(w) = 2g-2 and div(s1) = 2: the classes of w/(2g-2) and s1/2.  A
-    # candidate's divisibility is the order of its class, so the class alone
-    # decides the label.
-    pi = dual_class(l, [int(s == "w") for s in l.labels])
-    w2 = None if locus == "nodal" else dual_class(l, [int(s == "s1") for s in l.labels])
-    zero = 0 * pi
+    # div(w) = 2g-2 and div(s1) = 2: the classes of w/(2g-2) and s1/2, as
+    # residue tuples.  A candidate's divisibility is the order of its class,
+    # so the class alone decides the label.
+    grp = discriminant_group(l)
+    factors = grp.factors
+    zero = (0,) * len(factors)
+    half = tuple((g - 1) * a % f for a, f in zip(_dual_residues(grp, "w"), factors))
     if locus == "nodal":
-        labels = {zero: "P_{0,-2}", (g - 1) * pi: "P_{g-1,(g-2)/2}"}
-    elif locus == "a11":
-        labels = {zero: "H'", (g - 1) * pi: "H''", (g - 1) * pi + w2: "H'''"}
+        labels = {zero: "P_{0,-2}", half: "P_{g-1,(g-2)/2}"}
     else:
-        labels = {w2: "H_{A_2}"}
-        cands = tuple(c for c in cands if c.dual_class == w2)
+        w2 = _dual_residues(grp, "s1")
+        if locus == "a11":
+            labels = {zero: "H'", half: "H''", tuple((a + b) % f for a, b, f in zip(half, w2, factors)): "H'''"}
+        else:
+            labels = {w2: "H_{A_2}"}
+            cands = tuple(c for c in cands if c.dual_class.residues == w2)
 
     components = []
     for cand in cands:
-        label = labels.get(cand.dual_class)
+        label = labels.get(cand.dual_class.residues)
         if label is None:  # impossible by the discriminant arithmetic; keep loud
             raise RuntimeError(f"unclassified {locus} candidate {cand}")
         if with_witnesses:

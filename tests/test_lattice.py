@@ -363,7 +363,7 @@ def test_build_standard_equals_block_diagonal_assembly(name, g):
     l = build_standard(name, g=g)
     expected = block_diagonal_build(name, g)
     assert (l.gram, l.labels, hash(l), l._standard) == (expected.gram, expected.labels, hash(expected), (name, g))
-    template, generators, planes = lattice._standard_template(name)
+    template, generators, planes, _, _ = lattice._standard_template(name)
     assert generators == padded_summand_generators(name)
     assert planes == lattice.hyperbolic_planes(template)
     assert type(l) is IntegralLattice and {type(x) for row in l.gram for x in row} == {int}
@@ -462,6 +462,20 @@ def test_constructor_rejects_bad_gram():
         IntegralLattice([[0, 1]])  # not square
     with pytest.raises(ValueError):
         IntegralLattice([[2]], labels=("a", "b"))
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\nb", "a\u00a0b", "a\r", " a"])
+def test_labels_must_be_nonempty_and_contain_no_whitespace(label):
+    # describe() joins labels with spaces and from_text splits them on any
+    # whitespace, so a label holding any could not be read back
+    with pytest.raises(ValueError, match="labels must be nonempty and contain no whitespace"):
+        IntegralLattice([[2]], labels=[label])
+
+
+def test_labels_without_whitespace_read_back():
+    l = IntegralLattice([[0, 1], [1, 0]], labels=["eé", "f_1'"])
+    assert from_text(to_text(l)) == l
+    assert l.describe([1, -2]) == "eé - 2*f_1'"
 
 
 def test_lattice_hash_is_the_hash_of_its_fields():

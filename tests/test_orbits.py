@@ -1,5 +1,6 @@
 """Orbit invariants, witness search, and locus component counts."""
 
+import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from nlk3.lattice import (
     IntegralLattice,
     LatticeVector,
     build_standard,
+    det,
     discriminant_group,
     from_text,
     divisibility,
@@ -21,7 +23,9 @@ from nlk3.lattice import (
     smith_normal_form,
 )
 from nlk3.orbits import (
+    LOCI,
     OrbitCandidate,
+    _dual_residues,
     eichler_candidates,
     find_witness,
     locus_lattice,
@@ -119,6 +123,43 @@ def test_candidates_match_full_group_scan():
                 assert cands == _full_scan_candidates(q_values, norm), (name, g, norm)
                 count += len(cands)
     assert count == 260
+
+
+def _random_even_block(rng):
+    """A nondegenerate even Gram block of rank 1 to 3 with |det| <= 200."""
+    while True:
+        n = rng.randint(1, 3)
+        b = [[0] * n for _ in range(n)]
+        for i in range(n):
+            b[i][i] = 2 * rng.randint(-6, 6)
+            for j in range(i):
+                b[i][j] = b[j][i] = rng.randint(-5, 5)
+        if 0 < abs(det(b)) <= 200:
+            return b
+
+
+def test_candidates_match_full_group_scan_on_file_lattices():
+    # a lattice read from text takes the full Smith normal form, whose u-rows
+    # may be dense where a standard lattice's summand rows are sparse; U + U + B
+    # in a shuffled basis, B a random even block
+    u = IntegralLattice([[0, 1], [1, 0]])
+    count = dense = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        s = direct_sum(direct_sum(u, u), IntegralLattice(_random_even_block(rng)))
+        perm = rng.sample(range(s.rank), s.rank)
+        l = from_text(to_text(IntegralLattice([[s.gram[i][j] for j in perm] for i in perm])))
+        assert l._standard is None
+        grp = discriminant_group(l)
+        dense += any(sum(map(bool, row)) > 1 for row in grp._rows)
+        q_values = _lift_q_values(l)
+        for norm in (-2, -6, -10):
+            cands = eichler_candidates(l, norm)
+            assert cands == _full_scan_candidates(q_values, norm), (seed, norm)
+            # the witness check reads each class back through the u-rows
+            assert all(find_witness(l, c) is not None for c in cands), (seed, norm)
+            count += len(cands)
+    assert (count, dense) == (130, 18)
 
 
 def reference_u_blocks(l):
@@ -508,6 +549,30 @@ def test_component_witness_strings(g):
         l = locus_lattice(g, locus)
         _, comps = nl_component_count(g, locus, with_witnesses=True)
         assert [l.describe(c.candidate.witness) for c in comps] == exprs
+
+
+# sha256 over repr(nl_component_count(g, locus, with_witnesses=g % 5 == 0)),
+# each followed by a newline, for the genera below and the loci in LOCI order
+COUNTS_SHA256 = "73181ca5055e6d57c1d1a461a4105d8c5fe7c392be3a76a823c21223f43dfeb6"
+
+
+def test_component_counts_sha256():
+    h = hashlib.sha256()
+    for g in [*range(3, 401), 997, 2002, 10**6]:
+        for locus in LOCI:
+            h.update(repr(nl_component_count(g, locus, with_witnesses=g % 5 == 0)).encode() + b"\n")
+    assert h.hexdigest() == COUNTS_SHA256
+
+
+def test_gram_row_classes_equal_dual_class():
+    # the labels read w/(2g-2) and s1/2 from w's and s1's Gram rows
+    for g in range(3, 201):
+        for name in ("LambdaG", "LambdaA1"):
+            l = build_standard(name, g=g)
+            grp = discriminant_group(l)
+            for label in ("w", "s1") if name == "LambdaA1" else ("w",):
+                e = [int(s == label) for s in l.labels]
+                assert _dual_residues(grp, label) == dual_class(l, e).residues, (name, g, label)
 
 
 def test_component_count_determinism():
