@@ -74,10 +74,11 @@ def exact_ints(xs) -> tuple[int, ...]:
 
 def text_rows(text: str, layout: str | None = None):
     """(file line number, whitespace-separated fields) of each line that has
-    any left once its '#' comment is removed.  Given a layout such as
-    'm value', a line with another field count raises ValueError."""
+    any left once its '#' comment is removed.  One leading byte-order mark
+    (U+FEFF) is dropped.  Given a layout such as 'm value', a line with
+    another field count raises ValueError."""
     width = layout and len(layout.split())
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if fields:
             if width and len(fields) != width:

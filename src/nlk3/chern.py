@@ -97,10 +97,9 @@ def net_counts(data: SurfaceChernData, degree: int = 1) -> tuple[int, int]:
     """(cuspidal, binodal) member counts of the net, scaled by the net degree."""
     g, d, e = net_invariants(data)
     a2 = 2 * g - d + 2 * (e - 1)
-    a11 = Fraction(d - 3 * g - e * (e - 1)) + Fraction(3, 2) * (e - 1) * (e - 2)
-    if a11.denominator != 1:
-        raise ValueError(f"non-integral binodal count {a11}")
-    return degree * a2, degree * int(a11)
+    # (e-1)(e-2) is a product of consecutive integers, so it is even
+    a11 = d - 3 * g - e * (e - 1) + 3 * (e - 1) * (e - 2) // 2
+    return degree * a2, degree * a11
 
 
 # ---------------------------------------------------------------------------

@@ -150,22 +150,6 @@ class LatticeVector(Record):
     def __init__(self, coords):
         self._set(exact_ints(coords))
 
-    def __add__(self, other):
-        return LatticeVector(x + y for x, y in zip(self.coords, _coords(other), strict=True))
-
-    def __sub__(self, other):
-        return LatticeVector(x - y for x, y in zip(self.coords, _coords(other), strict=True))
-
-    def __neg__(self):
-        return LatticeVector(-x for x in self.coords)
-
-    def __rmul__(self, c: int):
-        c = exact_int(c)
-        return LatticeVector(c * x for x in self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
 
 def _coords(v):
     if isinstance(v, LatticeVector):
@@ -230,12 +214,6 @@ class IntegralLattice(Record):
 
     def norm(self, v) -> int:
         return self.pairing(v, v)
-
-    def vector(self, coords) -> LatticeVector:
-        c = _coords(coords)
-        if len(c) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(c)}")
-        return LatticeVector(c)
 
     def describe(self, v) -> str:
         """Human-readable form of a vector, e.g. 'w + 2*e2 + 2*f2'."""
@@ -440,9 +418,6 @@ class DiscElement(Record):
         c = exact_int(c)
         return DiscElement._reduced(self.factors, tuple(c * a % d for a, d in zip(self.residues, self.factors)))
 
-    def is_zero(self) -> bool:
-        return not any(self.residues)
-
     def order(self) -> int:
         return lcm(1, *map(floordiv, self.factors, map(gcd, self.residues, self.factors)))
 
@@ -521,9 +496,7 @@ class DiscriminantGroup:
         self.factors = tuple(f for f, _, _, _ in gens)
         self._cols = tuple(col for _, col, _, _ in gens)
         # row i of u, applied to G.y, reads off the i-th residue of y;
-        # _class_of reads it through its nonzero (index, entry) pairs, the
-        # supports, and the dense rows are kept as the definition
-        self._rows = tuple(row for _, _, row, _ in gens)
+        # _class_of reads it through its nonzero (index, entry) pairs
         self._supports = supports
         self._exponent = self.factors[-1] if self.factors else 1
         # d_i | d_j for i < j, so every d_i*d_j divides N
@@ -541,9 +514,6 @@ class DiscriminantGroup:
     @property
     def order(self) -> int:
         return prod(self.factors)
-
-    def zero(self) -> DiscElement:
-        return DiscElement._reduced(self.factors, (0,) * len(self.factors))
 
     def element(self, residues) -> DiscElement:
         return DiscElement(self.factors, residues)
@@ -576,12 +546,16 @@ class DiscriminantGroup:
             tuple(sum(c * gv[j] for j, c in row) // div % d for row, d in zip(self._supports, self.factors)),
         )
 
-    def _lift_numerators(self, x: DiscElement) -> list[int]:
-        """D * lift(x), an integer vector: the sum of a_i * (D/d_i) * v_i."""
+    def _residues(self, x: DiscElement) -> tuple[int, ...]:
+        """The residues of x, once x is checked to be an element of this group."""
         if x.factors != self.factors:
             raise ValueError("elements of different groups")
+        return x.residues
+
+    def _lift_numerators(self, x: DiscElement) -> list[int]:
+        """D * lift(x), an integer vector: the sum of a_i * (D/d_i) * v_i."""
         out = [0] * self.lattice.rank
-        for a, f, col in zip(x.residues, self.factors, self._cols):
+        for a, f, col in zip(self._residues(x), self.factors, self._cols):
             if a:
                 c = a * (self._exponent // f)
                 out = [s + c * y for s, y in zip(out, col)]
@@ -609,28 +583,19 @@ class DiscriminantGroup:
         b, summed over the generator Gram."""
         return sum(map(mul, a, [sum(map(mul, b, row)) for row in self._gram]))
 
-    def _q_is(self, residues, num: int, den: int) -> bool:
-        """Whether q = num/den in Q/2Z for the class with these residues, in
-        integers only."""
-        return (self._pairing(residues, residues) * den - num * self._den) % (2 * self._den * den) == 0
-
     def quadratic(self, x: DiscElement) -> Fraction:
         """q(x) in Q/2Z, as the canonical representative in (-2, 0]."""
-        if x.factors != self.factors:
-            raise ValueError("elements of different groups")
-        return _mod2_rep(Fraction(self._pairing(x.residues, x.residues), self._den))
+        a = self._residues(x)
+        return _mod2_rep(Fraction(self._pairing(a, a), self._den))
 
     def quadratic_is(self, x: DiscElement, num: int, den: int) -> bool:
         """Whether q(x) = num/den in Q/2Z, in integers only."""
-        if x.factors != self.factors:
-            raise ValueError("elements of different groups")
-        return self._q_is(x.residues, num, den)
+        a = self._residues(x)
+        return (self._pairing(a, a) * den - num * self._den) % (2 * self._den * den) == 0
 
     def bilinear(self, x: DiscElement, y: DiscElement) -> Fraction:
         """b(x, y) in Q/Z, as the representative in [0, 1)."""
-        if x.factors != self.factors or y.factors != self.factors:
-            raise ValueError("elements of different groups")
-        return Fraction(self._pairing(x.residues, y.residues) % self._den, self._den)
+        return Fraction(self._pairing(self._residues(x), self._residues(y)) % self._den, self._den)
 
 
 @lru_cache(maxsize=256)

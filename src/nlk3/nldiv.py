@@ -152,9 +152,8 @@ def triangular_decomposition(key: NLKey):
             ni = num // m
             if ni % 2 != 0:
                 continue
+            # s = x and x*di = d (mod 2g-2), so mu counts x = +s: mu >= 1
             rep = NLKey(g, di, ni)
-            mu = mu_coefficient(key, rep)
-            if mu > 0:
-                out.append((rep, mu))
+            out.append((rep, mu_coefficient(key, rep)))
     out.sort(key=lambda pair: (abs(delta(pair[0])), pair[0].d))
     return tuple(out)

@@ -63,7 +63,7 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
     out = []
     for x in grp.elements(norm):
         d = x.order()
-        if grp._q_is(x.residues, norm, d * d):
+        if grp.quadratic_is(x, norm, d * d):
             out.append(OrbitCandidate(norm, d, x))
     return tuple(sorted(out, key=lambda c: c.divisibility))
 

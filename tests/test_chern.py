@@ -1,5 +1,6 @@
 """Tests for the Chern-number counts of singular family members."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,26 @@ def test_net_counts_scale_with_degree():
 
 def test_net_counts_zero_surface():
     assert net_counts(SurfaceChernData(0, 0, 0, 0)) == (0, 0)
+
+
+def test_net_counts_equal_the_fraction_formula():
+    # a11 = d - 3g - e(e-1) + 3(e-1)(e-2)/2, evaluated over Q
+    checked = 0
+    for a, b, c, x in itertools.product(range(-6, 7), repeat=4):
+        data = SurfaceChernData(a, b, c, x)
+        try:
+            g, d, e = net_invariants(data)
+        except ValueError:
+            continue
+        a11 = Fraction(d - 3 * g - e * (e - 1)) + Fraction(3, 2) * (e - 1) * (e - 2)
+        assert a11.denominator == 1
+        for degree in (1, 3):
+            got = net_counts(data, degree=degree)
+            assert got == (degree * (2 * g - d + 2 * (e - 1)), degree * a11), data
+            assert all(type(n) is int for n in got)
+        checked += 1
+    # the genus is integral exactly when alpha2 + alpha_c1 is even
+    assert checked == 85 * 13**2
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,22 @@ def test_lattice_disc_from_stdin(capsys, monkeypatch):
     assert json.loads(out)["result"] == {"order": 1, "factors": [], "generators": []}
 
 
+def test_lattice_disc_file_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfrank 2\n0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "lattice", "disc", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {"order": 1, "factors": [], "generators": []}
+
+
+def test_lattice_disc_stdin_with_byte_order_mark(capsys, monkeypatch):
+    text = "\ufeff" + to_text(build_standard("LambdaG", g=3))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "lattice", "disc", "--file", "-")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["factors"] == [4]
+
+
 def test_lattice_complement(capsys):
     vec = "1,1" + ",0" * 20
     code, out, _ = run_cli(capsys, "lattice", "complement", "--standard", "K3", "--vector", vec)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlk3 import siegel
-from nlk3.chern import default_unigonal_table, unigonal_counts
+from nlk3.chern import default_unigonal_table, loads_unigonal, unigonal_counts
 from nlk3.siegel import (
     GenusTwoSeries,
     HalfIntegralTable,
@@ -198,6 +198,22 @@ def test_exponent_table_pins_pole_coefficient():
 def test_half_integral_round_trip():
     t = default_chi10_exponents()
     assert loads_half_integral("".join(f"{m} {c}\n" for m, c in t.values.items())) == t
+
+
+@pytest.mark.parametrize(
+    "name,loads",
+    [
+        ("chi10_exponents.tbl", loads_half_integral),
+        ("e4.tbl", loads_coeff_table),
+        ("unigonal.tbl", loads_unigonal),
+    ],
+)
+def test_table_loaders_drop_one_leading_byte_order_mark(name, loads):
+    text = (resources.files("nlk3") / "data" / name).read_text(encoding="utf-8")
+    assert not text.startswith("\ufeff")
+    assert loads("\ufeff" + text) == loads(text)
+    with pytest.raises(ValueError, match="^line 1: "):
+        loads("\ufeff\ufeff" + text)
 
 
 @pytest.mark.parametrize(
