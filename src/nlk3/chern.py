@@ -95,6 +95,7 @@ def net_invariants(data: SurfaceChernData) -> tuple[int, int, int]:
 
 def net_counts(data: SurfaceChernData, degree: int = 1) -> tuple[int, int]:
     """(cuspidal, binodal) member counts of the net, scaled by the net degree."""
+    degree = exact_int(degree)
     g, d, e = net_invariants(data)
     a2 = 2 * g - d + 2 * (e - 1)
     # (e-1)(e-2) is a product of consecutive integers, so it is even

@@ -383,6 +383,12 @@ def _mod2_rep(x: Fraction) -> Fraction:
     return s - 2 if s > 0 else s
 
 
+def _order(factors, residues) -> int:
+    """The order of the class with these residues over these invariant
+    factors: the lcm of the d_i/gcd(a_i, d_i)."""
+    return lcm(1, *map(floordiv, factors, map(gcd, residues, factors)))
+
+
 class DiscElement(Record):
     """Element of a discriminant group, as residues (a tuple of ints) over
     the invariant factors (a tuple of ints)."""
@@ -419,7 +425,7 @@ class DiscElement(Record):
         return DiscElement._reduced(self.factors, tuple(c * a % d for a, d in zip(self.residues, self.factors)))
 
     def order(self) -> int:
-        return lcm(1, *map(floordiv, self.factors, map(gcd, self.residues, self.factors)))
+        return _order(self.factors, self.residues)
 
 
 def _snf_generators(gram) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
@@ -518,14 +524,35 @@ class DiscriminantGroup:
     def element(self, residues) -> DiscElement:
         return DiscElement(self.factors, residues)
 
+    def _torsion(self, n: int):
+        """The residue tuples of the n-torsion {x : n*x = 0}, in lexicographic
+        order; n = 0 gives the whole group."""
+        return itertools.product(*(range(0, d, d // gcd(n, d)) for d in self.factors))
+
     def elements(self, n: int = 0):
         """The n-torsion {x : n*x = 0}, in lexicographic residue order.
 
         n = 0 gives the whole group.
         """
-        ranges = (range(0, d, d // gcd(n, d)) for d in self.factors)
-        for residues in itertools.product(*ranges):
+        for residues in self._torsion(n):
             yield DiscElement._reduced(self.factors, residues)
+
+    def eichler_classes(self, norm: int) -> tuple[tuple[int, DiscElement], ...]:
+        """(d, x) for each class x of the norm-torsion whose order d has
+        q(x) = norm/d^2 in Q/2Z, in lexicographic residue order: the dual
+        classes of the primitive vectors of that norm, by Eichler's criterion.
+
+        The scan runs over residue tuples, through the integer order and q
+        rules of DiscElement.order and quadratic_is, and builds an element
+        only for a hit.
+        """
+        norm = exact_int(norm)
+        out = []
+        for a in self._torsion(norm):
+            d = _order(self.factors, a)
+            if self._q_is(a, norm, d * d):
+                out.append((d, DiscElement._reduced(self.factors, a)))
+        return tuple(out)
 
     def element_of(self, dual_vector) -> DiscElement:
         """Class of a rational vector lying in the dual lattice."""
@@ -588,10 +615,14 @@ class DiscriminantGroup:
         a = self._residues(x)
         return _mod2_rep(Fraction(self._pairing(a, a), self._den))
 
+    def _q_is(self, a, num: int, den: int) -> bool:
+        """Whether q = num/den in Q/2Z for the class of residues a: N*q
+        against N*num/den, in integers only."""
+        return (self._pairing(a, a) * den - num * self._den) % (2 * self._den * den) == 0
+
     def quadratic_is(self, x: DiscElement, num: int, den: int) -> bool:
         """Whether q(x) = num/den in Q/2Z, in integers only."""
-        a = self._residues(x)
-        return (self._pairing(a, a) * den - num * self._den) % (2 * self._den * den) == 0
+        return self._q_is(self._residues(x), num, den)
 
     def bilinear(self, x: DiscElement, y: DiscElement) -> Fraction:
         """b(x, y) in Q/Z, as the representative in [0, 1)."""

@@ -59,12 +59,7 @@ def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, .
         raise ValueError("norm must be a nonzero even integer")
     if len(hyperbolic_planes(l)) < 2:
         raise ValueError("orbit classification needs two orthogonal hyperbolic planes in the basis")
-    grp = discriminant_group(l)
-    out = []
-    for x in grp.elements(norm):
-        d = x.order()
-        if grp.quadratic_is(x, norm, d * d):
-            out.append(OrbitCandidate(norm, d, x))
+    out = [OrbitCandidate(norm, d, x) for d, x in discriminant_group(l).eichler_classes(norm)]
     return tuple(sorted(out, key=lambda c: c.divisibility))
 
 

@@ -13,7 +13,7 @@ special divisors.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from ._inputs import Record, exact_int, exact_ints, load_shipped, text_rows
 
@@ -51,6 +51,14 @@ class GenusTwoSeries(Record):
             stored[(k, l, m)] = value
         self._set(stored, trunc_k, trunc_m, trunc_l)
 
+    @classmethod
+    def _exact(cls, coeffs: dict, trunc_k: int, trunc_m: int, trunc_l: int) -> GenusTwoSeries:
+        """The series of a dict of nonzero Fractions at int indices inside an
+        int window, as series_mul builds it, without checking them again."""
+        x = object.__new__(cls)
+        x._set(coeffs, trunc_k, trunc_m, trunc_l)
+        return x
+
     def coefficient(self, k: int, l: int, m: int) -> Fraction:
         """Exact coefficient; raises outside the truncation window rather than
         guessing zero."""
@@ -64,20 +72,36 @@ def series_one(trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusT
     return GenusTwoSeries({(0, 0, 0): 1}, trunc_k, trunc_m, trunc_l)
 
 
+def _scaled(x: GenusTwoSeries, tk: int, tm: int) -> tuple[list, int]:
+    """(terms, d): x's terms inside the (k, m) window as (k, l, m, d*c) with
+    int d*c, for d the lcm of x's denominators (1 for an integral series)."""
+    d = lcm(*(c.denominator for c in x.coeffs.values()))
+    terms = [
+        (k, l, m, c.numerator * (d // c.denominator)) for (k, l, m), c in x.coeffs.items() if k <= tk and m <= tm
+    ]
+    return terms, d
+
+
 def series_mul(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
     """Convolution product, truncated to the tighter of the two windows: where
-    both series are exact."""
+    both series are exact.
+
+    Each factor is scaled to integers by the lcm of its denominators, the
+    term pairs multiply and add plain ints, and each coefficient of the
+    product is one Fraction over the two scales' product.
+    """
     tk, tm, tl = min(x.trunc_k, y.trunc_k), min(x.trunc_m, y.trunc_m), min(x.trunc_l, y.trunc_l)
+    xs, dx = _scaled(x, tk, tm)
+    ys, dy = _scaled(y, tk, tm)
     acc: dict = {}
-    for (k1, l1, m1), c1 in x.coeffs.items():
-        if k1 > tk or m1 > tm:
-            continue
-        for (k2, l2, m2), c2 in y.coeffs.items():
+    for k1, l1, m1, c1 in xs:
+        for k2, l2, m2, c2 in ys:
             k, l, m = k1 + k2, l1 + l2, m1 + m2
             if k > tk or m > tm or abs(l) > tl:
                 continue
             acc[(k, l, m)] = acc.get((k, l, m), 0) + c1 * c2
-    return GenusTwoSeries(acc, tk, tm, tl)
+    d = dx * dy
+    return GenusTwoSeries._exact({key: Fraction(c, d) for key, c in acc.items() if c}, tk, tm, tl)
 
 
 def series_truncate(x: GenusTwoSeries, trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusTwoSeries:
@@ -175,10 +199,11 @@ def default_chi10_exponents() -> HalfIntegralTable:
 
 
 # the largest chi10 product, factor count x window terms, that chi10
-# multiplies out.  10^6 is about a second of series products on a 2-vCPU VM:
-# the (1, 40) window needs 7.9e5 and takes 0.8 s, (1, 60) needs 2.6e6 and
-# takes 2.9 s.  The windows of verify and the tests need at most 2976 (1, 6),
-# and none the shipped table supports with trunc_k >= 2 needs more than 2508.
+# multiplies out.  10^6 is about 0.2 s of series products on a 2-vCPU VM with
+# Python 3.11: the (1, 40) window needs 7.9e5 and takes 0.15 s, (1, 60) needs
+# 2.6e6 and would take 0.5 s.  The windows of verify and the tests need at
+# most 2976 (1, 6), and none the shipped table supports with trunc_k >= 2
+# needs more than 2508.
 CHI10_MAX_WORK = 10**6
 
 

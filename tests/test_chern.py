@@ -85,6 +85,14 @@ def test_net_counts_scale_with_degree():
     assert net_counts(SurfaceChernData(32, -16, 8, 4), degree=4) == (864, 7656)
 
 
+def test_net_counts_degree_must_be_integral():
+    data = SurfaceChernData(32, -16, 8, 4)
+    with pytest.raises(ValueError, match=r"non-integral entry 2\.5"):
+        net_counts(data, degree=2.5)
+    counts = net_counts(data, degree=Fraction(8, 2))
+    assert counts == (864, 7656) and all(type(c) is int for c in counts)
+
+
 def test_net_counts_zero_surface():
     assert net_counts(SurfaceChernData(0, 0, 0, 0)) == (0, 0)
 

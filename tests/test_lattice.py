@@ -581,6 +581,7 @@ def _typed_lift_multiple(m):
         (lambda x: build_standard("LambdaG", g=x), 5),
         (lambda x: build_standard("LambdaA1", g=x), 5),
         (lambda x: eichler_candidates(build_standard("LambdaG", g=5), x), -2),
+        (lambda x: discriminant_group(build_standard("LambdaA1", g=6)).eichler_classes(x), -6),
         (lambda x: nl_component_count(x, "nodal"), 6),
         (lambda x: locus_lattice(x, "a2"), 6),
         (lambda x: GenusTwoSeries({(x, 0, 1): 7}, 3, 3), 1),
@@ -600,9 +601,9 @@ def _typed_lift_multiple(m):
         (lambda x: binomial_pow((1, 0, 1), 2, 2, 2, x), 6),
     ],
     ids=[
-        "lambda-g", "lambda-a1", "eichler-norm", "components-g", "locus-g", "series-index", "trunc-k",
-        "trunc-m", "trunc-l", "chern-data", "series-coefficient", "lift-multiple", "exponent", "chi10-trunc-k",
-        "chi10-trunc-m", "pow-monomial", "pow-exponent", "pow-trunc-k", "pow-trunc-m", "pow-trunc-l",
+        "lambda-g", "lambda-a1", "eichler-norm", "eichler-classes-norm", "components-g", "locus-g", "series-index",
+        "trunc-k", "trunc-m", "trunc-l", "chern-data", "series-coefficient", "lift-multiple", "exponent",
+        "chi10-trunc-k", "chi10-trunc-m", "pow-monomial", "pow-exponent", "pow-trunc-k", "pow-trunc-m", "pow-trunc-l",
     ],
 )
 def test_entry_points_do_not_truncate(call, good):

@@ -127,6 +127,35 @@ def test_candidates_match_full_group_scan():
     assert count == 260
 
 
+def test_candidates_match_full_group_scan_where_the_torsion_splits():
+    # norm-30 and norm-210 torsion of Z/(2g-2), g = 31, 106, 211, splits
+    # into several cyclic parts (Z/30 = Z/2 + Z/3 + Z/5 at g = 31), and
+    # LambdaA1 adds E7's Z/2
+    count = 0
+    for name in ("LambdaG", "LambdaA1"):
+        for g in (31, 106, 211):
+            l = build_standard(name, g=g)
+            q_values = _lift_q_values(l)
+            for norm in (-30, -210):
+                cands = eichler_candidates(l, norm)
+                assert cands == _full_scan_candidates(q_values, norm), (name, g, norm)
+                # d ascending, then residues in lexicographic order
+                keys = [(c.divisibility, c.dual_class.residues) for c in cands]
+                assert keys == sorted(keys), (name, g, norm)
+                count += len(cands)
+    assert count == 147
+
+
+def test_eichler_classes_are_the_torsion_filtered_by_order_and_q():
+    # the residue-tuple scan against the element route: DiscElement.order
+    # and quadratic_is on each element of the norm-torsion
+    for name, g in (("LambdaG", 31), ("LambdaA1", 31), ("LambdaA1", 106), ("LambdaA1", 7)):
+        grp = discriminant_group(build_standard(name, g=g))
+        for norm in (-2, -6, -30, -210):
+            want = tuple((x.order(), x) for x in grp.elements(norm) if grp.quadratic_is(x, norm, x.order() ** 2))
+            assert grp.eichler_classes(norm) == want, (name, g, norm)
+
+
 def _random_even_block(rng):
     """A nondegenerate even Gram block of rank 1 to 3 with |det| <= 200."""
     while True:

@@ -1,5 +1,7 @@
 """Tests for truncated genus-2 modular form arithmetic."""
 
+import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -75,6 +77,87 @@ def test_series_mul_takes_tighter_window():
     y = series_one(2, 4, 7)
     z = series_mul(x, y)
     assert (z.trunc_k, z.trunc_m, z.trunc_l) == (2, 2, 5)
+
+
+def _reference_mul(x, y):
+    """The convolution product in Fraction arithmetic, term pair by term pair,
+    on the tighter window: every index some pair reaches, zeros included."""
+    tk, tm, tl = min(x.trunc_k, y.trunc_k), min(x.trunc_m, y.trunc_m), min(x.trunc_l, y.trunc_l)
+    acc = {}
+    for (k1, l1, m1), c1 in x.coeffs.items():
+        for (k2, l2, m2), c2 in y.coeffs.items():
+            k, l, m = k1 + k2, l1 + l2, m1 + m2
+            if k <= tk and m <= tm and abs(l) <= tl:
+                acc[(k, l, m)] = acc.get((k, l, m), Fraction(0)) + c1 * c2
+    return acc
+
+
+# denominators of the random coefficients: integral, the 2/3/6 of the
+# Eisenstein tables, and a mix with other primes
+_DENOMINATORS = {"integral": (1,), "2/3/6": (2, 3, 6), "mixed": (1, 1, 2, 3, 5, 6, 7)}
+# (trunc_k, trunc_m, trunc_l): pairs of unequal windows clip each other
+_WINDOWS = ((2, 2, 4), (3, 1, 2), (1, 3, 2), (2, 2, 1))
+
+
+def _random_series(rng, denominators, window):
+    tk, tm, tl = window
+    entries = {}
+    for _ in range(rng.randint(0, 9)):
+        # small exponents are likelier, so more pairs land in the window
+        key = (rng.randint(0, rng.randint(0, tk)), rng.randint(-tl, tl), rng.randint(0, rng.randint(0, tm)))
+        entries[key] = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice(denominators))
+    return GenusTwoSeries(entries, *window)
+
+
+def _assert_product(x, y):
+    z = series_mul(x, y)
+    assert (z.trunc_k, z.trunc_m, z.trunc_l) == (
+        min(x.trunc_k, y.trunc_k),
+        min(x.trunc_m, y.trunc_m),
+        min(x.trunc_l, y.trunc_l),
+    )
+    assert z.coeffs == {key: c for key, c in _reference_mul(x, y).items() if c}, (x, y)
+    # stored values stay nonzero Fractions, also where every factor is integral
+    assert all(type(c) is Fraction and c != 0 for c in z.coeffs.values())
+    return z
+
+
+def test_series_mul_equals_the_fraction_convolution():
+    rng = random.Random(19)
+    empty = cancelled = 0
+    for kx, ky in itertools.product(_DENOMINATORS.values(), repeat=2):
+        for _ in range(40):
+            x = _random_series(rng, kx, rng.choice(_WINDOWS))
+            y = _random_series(rng, ky, rng.choice(_WINDOWS))
+            empty += not _assert_product(x, y).coeffs
+            cancelled += 0 in _reference_mul(x, y).values()
+    # the draws reach both empty products and coefficients that cancel
+    assert empty >= 40 and cancelled >= 10, (empty, cancelled)
+
+
+def test_series_mul_of_empty_series():
+    x = GenusTwoSeries({(1, 1, 1): Fraction(2, 3), (0, 0, 0): 5}, 2, 2)
+    for window in (*_WINDOWS, (0, 0, 0)):
+        zero = GenusTwoSeries({}, *window)
+        assert _assert_product(x, zero).coeffs == {}
+        assert _assert_product(zero, x).coeffs == {}
+        assert _assert_product(zero, zero).coeffs == {}
+
+
+def test_series_mul_drops_cancelled_coefficients():
+    # (1/2 + qt/2)(1/3 - qt/3) = 1/6 - qt^2/6: the qt terms cancel
+    x = GenusTwoSeries({(0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(1, 2)}, 2, 2)
+    y = GenusTwoSeries({(0, 0, 0): Fraction(1, 3), (1, 0, 0): Fraction(-1, 3)}, 2, 2)
+    assert _assert_product(x, y).coeffs == {(0, 0, 0): Fraction(1, 6), (2, 0, 0): Fraction(-1, 6)}
+    # (p/2 + 1/(2p))(p/3 - 1/(3p)): the p^0 terms cancel and |l| <= 1 clips
+    # the p^2 and p^-2 terms, so nothing is left
+    x = GenusTwoSeries({(0, 1, 0): Fraction(1, 2), (0, -1, 0): Fraction(1, 2)}, 1, 1, 1)
+    y = GenusTwoSeries({(0, 1, 0): Fraction(1, 3), (0, -1, 0): Fraction(-1, 3)}, 1, 1, 1)
+    assert _assert_product(x, y).coeffs == {}
+    # integral factors cancel the same way: (1 + q)(1 - q) = 1 - q^2
+    x = GenusTwoSeries({(0, 0, 0): 1, (0, 0, 1): 1}, 2, 2)
+    y = GenusTwoSeries({(0, 0, 0): 1, (0, 0, 1): -1}, 2, 2)
+    assert _assert_product(x, y).coeffs == {(0, 0, 0): 1, (0, 0, 2): -1}
 
 
 def test_series_truncate_cannot_widen():
