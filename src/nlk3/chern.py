@@ -147,36 +147,36 @@ _BETA1 = 3 * ZETA
 _BETA2 = 3 * ZETA * ZETA
 
 
-def unigonal_a2(table: UnigonalTable, beta1: P2Class = _BETA1, beta2: P2Class = _BETA2) -> int:
+def unigonal_a2(table: UnigonalTable) -> int:
     """Cuspidal member count of the unigonal family."""
     expr = (
-        4 * table.a1 * beta1 * beta1
-        + 2 * (table.a1sq + table.a2) * beta1
-        - 2 * table.a1 * beta2
+        4 * table.a1 * _BETA1 * _BETA1
+        + 2 * (table.a1sq + table.a2) * _BETA1
+        - 2 * table.a1 * _BETA2
         + 2 * table.a1a2
     )
     return _int_degree(expr, "cuspidal count")
 
 
-def unigonal_double_point(table: UnigonalTable, beta1: P2Class = _BETA1, beta2: P2Class = _BETA2) -> int:
+def unigonal_double_point(table: UnigonalTable) -> int:
     """Degree of the double-point cycle of the unigonal family."""
     expr = (
         table.delta * table.delta
-        - beta1 * table.delta
+        - _BETA1 * table.delta
         + (
             -2 * table.a1a2
             - table.a3
-            - 2 * (table.a1sq + table.a2) * beta1
-            + table.a1 * (-4 * beta1 * beta1 + 3 * beta2)
+            - 2 * (table.a1sq + table.a2) * _BETA1
+            + table.a1 * (-4 * _BETA1 * _BETA1 + 3 * _BETA2)
         )
     )
     return _int_degree(expr, "double-point cycle")
 
 
-def unigonal_counts(table: UnigonalTable, beta1: P2Class = _BETA1, beta2: P2Class = _BETA2) -> tuple[int, int]:
+def unigonal_counts(table: UnigonalTable) -> tuple[int, int]:
     """(cuspidal, binodal) counts; the double-point degree must be even."""
-    a2 = unigonal_a2(table, beta1, beta2)
-    dd = unigonal_double_point(table, beta1, beta2)
+    a2 = unigonal_a2(table)
+    dd = unigonal_double_point(table)
     if dd % 2 != 0:
         raise ValueError(f"double-point degree {dd} is odd: cannot halve into unordered pairs")
     return a2, dd // 2 - a2

@@ -12,7 +12,7 @@ witness vectors.
 
 from __future__ import annotations
 
-from math import gcd
+from operator import add
 
 from ._inputs import Record, exact_int
 from .lattice import (
@@ -111,46 +111,59 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | No
 # component counts for the nodal, A11 and A2 loci
 
 
-# each locus is cut out by the vectors of one norm in one period lattice
-_CUT_OUT_BY = {"nodal": ("LambdaG", -2), "a11": ("LambdaA1", -2), "a2": ("LambdaA1", -6)}
-LOCI = tuple(_CUT_OUT_BY)
+# each locus: the period lattice and norm of the vectors cutting it out,
+# whether every Eichler candidate must be one of its components (else only
+# the named classes count), and each component's label with the basis
+# vectors v whose half v/2 has its class
+_LOCI = {
+    "nodal": ("LambdaG", -2, True, (("P_{0,-2}", ()), ("P_{g-1,(g-2)/2}", ("w",)))),
+    "a11": ("LambdaA1", -2, True, (("H'", ()), ("H''", ("w",)), ("H'''", ("w", "s1")))),
+    "a2": ("LambdaA1", -6, False, (("H_{A_2}", ("s1",)),)),
+}
+LOCI = tuple(_LOCI)
 _LOCUS_ALIASES = {"node": "nodal", "oneplusa1": "a11"}
+_LOCUS_PUNCTUATION = str.maketrans("", "", "_{},-")
 
 
 def _canon_locus(locus: str) -> str:
-    s = str(locus).strip().lower().replace("_", "").replace("{", "").replace("}", "").replace(",", "").replace("-", "")
+    s = str(locus).strip().lower().translate(_LOCUS_PUNCTUATION)
     s = _LOCUS_ALIASES.get(s, s)
-    if s not in _CUT_OUT_BY:
+    if s not in _LOCI:
         raise ValueError(f"unknown locus {locus!r}; valid: {', '.join(LOCI)}")
     return s
 
 
-def _dual_residues(grp, label: str) -> tuple[int, ...]:
-    """Residues of the class of e/div(e), e the basis vector of the label:
-    G.e is e's row of the Gram, and div(e) is the gcd of that row."""
+def _half_class(grp, vectors) -> tuple[int, ...]:
+    """Residues of the class of v/2, v the sum of the named basis vectors:
+    G.v is the sum of their Gram rows, and the empty sum is 0."""
+    if not vectors:
+        return (0,) * len(grp.factors)
     l = grp.lattice
-    row = l.gram[l.labels.index(label)]
-    return grp._class_of(row, gcd(*row)).residues
+    gv, *rest = (l.gram[l.labels.index(s)] for s in vectors)
+    for row in rest:
+        gv = tuple(map(add, gv, row))
+    return grp._class_of(gv, 2).residues
 
 
 def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     """Number of irreducible components of a lattice-defined locus in genus g,
     with classical labels and the orbit candidate behind each component.
 
-    nodal  norm -2 vectors in the genus-g period lattice: P_{0,-2} always,
-           plus P_{g-1,(g-2)/2} exactly when g = 2 mod 4.
-    a11    norm -2 vectors orthogonal to a fixed root: H' always, H'' when
-           g = 2 mod 4, H''' when g = 3 mod 4.
+    Each locus is a row of _LOCI, each component the class of a half-vector:
+
+    nodal  norm -2 vectors in the genus-g period lattice: P_{0,-2} (class 0)
+           always, plus P_{g-1,(g-2)/2} (class w/2) exactly when g = 2 mod 4.
+    a11    norm -2 vectors orthogonal to a fixed root: H' (class 0) always,
+           H'' (w/2) when g = 2 mod 4, H''' ((w+s1)/2) when g = 3 mod 4.
     a2     norm -6 vectors w = t1 + 2v supporting a cuspidal configuration:
            the single component H_{A_2}.  Only divisibility-2 candidates of
-           class w2 = [s1/2] are counted (lift - s1/2 in L, i.e. the doubled
-           lift is congruent to s1 mod 2L).  Divisibility-6 candidates,
-           realized by honest vectors, exist exactly when g = 4 mod 9: with
-           g - 1 = 3t, the 3-part of q(x) = -1/6 needs t = 1 mod 3.  They
-           are taken to span a non-saturated configuration, i.e. the surface
-           carries a strictly larger Picard sublattice, and are booked under
-           deeper loci rather than as new A2 components; nothing here
-           computes that saturation.
+           class s1/2 are counted (the doubled lift is congruent to s1 mod
+           2L).  Divisibility-6 candidates, realized by honest vectors, exist
+           exactly when g = 4 mod 9: with g - 1 = 3t, the 3-part of
+           q(x) = -1/6 needs t = 1 mod 3.  They are taken to span a
+           non-saturated configuration, i.e. the surface carries a strictly
+           larger Picard sublattice, and are booked under deeper loci rather
+           than as new A2 components; nothing here computes that saturation.
 
     With with_witnesses every component carries the closed-form witness of
     find_witness, which exists for every Eichler candidate.
@@ -159,31 +172,19 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     if g < 3:
         raise ValueError("genus must be at least 3")
     locus = _canon_locus(locus)
-    name, norm = _CUT_OUT_BY[locus]
+    name, norm, exhaustive, named = _LOCI[locus]
     l = build_standard(name, g=g)
-    cands = eichler_candidates(l, norm)
-    # div(w) = 2g-2 and div(s1) = 2: the classes of w/(2g-2) and s1/2, as
-    # residue tuples.  A candidate's divisibility is the order of its class,
-    # so the class alone decides the label.
+    # a candidate's divisibility is the order of its class, so the class
+    # alone decides the label
     grp = discriminant_group(l)
-    factors = grp.factors
-    zero = (0,) * len(factors)
-    half = tuple((g - 1) * a % f for a, f in zip(_dual_residues(grp, "w"), factors))
-    if locus == "nodal":
-        labels = {zero: "P_{0,-2}", half: "P_{g-1,(g-2)/2}"}
-    else:
-        w2 = _dual_residues(grp, "s1")
-        if locus == "a11":
-            labels = {zero: "H'", half: "H''", tuple((a + b) % f for a, b, f in zip(half, w2, factors)): "H'''"}
-        else:
-            labels = {w2: "H_{A_2}"}
-            cands = tuple(c for c in cands if c.dual_class.residues == w2)
-
+    labels = {_half_class(grp, vectors): label for label, vectors in named}
     components = []
-    for cand in cands:
+    for cand in eichler_candidates(l, norm):
         label = labels.get(cand.dual_class.residues)
-        if label is None:  # impossible by the discriminant arithmetic; keep loud
-            raise RuntimeError(f"unclassified {locus} candidate {cand}")
+        if label is None:
+            if exhaustive:  # impossible by the discriminant arithmetic; keep loud
+                raise RuntimeError(f"unclassified {locus} candidate {cand}")
+            continue
         if with_witnesses:
             cand = OrbitCandidate(cand.norm, cand.divisibility, cand.dual_class, find_witness(l, cand))
         components.append(Component(label, cand))
@@ -192,4 +193,4 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
 
 def locus_lattice(g: int, locus: str) -> IntegralLattice:
     """The period lattice in which a locus's vectors live."""
-    return build_standard(_CUT_OUT_BY[_canon_locus(locus)][0], g=g)
+    return build_standard(_LOCI[_canon_locus(locus)][0], g=g)

@@ -37,10 +37,7 @@ class GenusTwoSeries(Record):
             raise ValueError("truncation bounds must be non-negative")
         stored = {}
         for key, value in coeffs.items():
-            k, l, m = key
-            # every product builds a series: skip the call for int indices
-            if not (type(k) is int and type(l) is int and type(m) is int):
-                k, l, m = exact_ints(key)
+            k, l, m = exact_ints(key)
             value = Fraction(value)
             if value == 0:
                 continue

@@ -22,7 +22,6 @@ from nlk3.chern import (
 )
 
 B1 = 3 * ZETA
-B2 = 3 * ZETA * ZETA
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +238,6 @@ def test_unigonal_scaled_table():
     linear = unigonal_double_point(t) - quadratic
     assert linear == -1104
     assert unigonal_double_point(doubled) == 4 * quadratic + 2 * linear == 276576
-
-
-def test_unigonal_alternative_base_classes():
-    t = default_unigonal_table()
-    assert unigonal_a2(t, beta1=B1, beta2=B2) == 816
-    # shrinking beta1 to 2z changes every beta1 term
-    assert unigonal_a2(t, beta1=2 * ZETA) == 4 * 18 * 4 + 2 * 246 * 2 - 2 * 18 * 3 - 1200 == -36
 
 
 @given(st.integers(min_value=-6, max_value=6))

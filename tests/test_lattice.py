@@ -1215,3 +1215,60 @@ def test_random_even_lattice_disc_order(data):
         assert grp.quadratic(a) == mod2_rep(lift_pairing(l, grp, a, a))
         for b in gens:
             assert grp.bilinear(a, b) == lift_pairing(l, grp, a, b) % 1
+
+
+# ---------------------------------------------------------------------------
+# error and edge branches the tests above do not reach
+
+
+def test_pairing_rejects_vectors_of_different_lengths():
+    with pytest.raises(ValueError, match="^length mismatch: 3 and 2$"):
+        IntegralLattice([[0, 1], [1, 0]]).pairing([1, 0, 0], [1, 0])
+
+
+def test_det_of_empty_and_non_square_matrices():
+    assert det([]) == 1
+    with pytest.raises(ValueError, match="^determinant requires a square matrix$"):
+        det([[1, 2], [3]])
+
+
+def test_snf_rejects_a_ragged_matrix():
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        smith_normal_form([[1, 2], [3]])
+
+
+def test_element_of_rejects_a_vector_of_another_length():
+    grp = discriminant_group(build_standard("LambdaG", g=3))
+    with pytest.raises(ValueError, match="^vector length must match rank$"):
+        grp.element_of([Fraction(1, 4)])
+
+
+def test_from_text_header_and_row_count_errors():
+    with pytest.raises(ValueError, match="^line 1: malformed rank header$"):
+        from_text("rank two\n")
+    with pytest.raises(ValueError, match="^expected 2 Gram rows after the header$"):
+        from_text("rank 2\n0 1\n")
+
+
+def test_constructed_lattice_copies_by_gram_and_labels():
+    # a lattice with no standard name pickles as its Gram and labels; its
+    # labels are strings, whose hashes are salted per process
+    gram, labels = ((-2, 1), (1, -4)), ("a", "b")
+    here = IntegralLattice(gram, labels)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    code = (
+        "import pickle, sys; from nlk3.lattice import IntegralLattice; "
+        f"sys.stdout.write(pickle.dumps(IntegralLattice({gram!r}, {labels!r})).hex())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": seed},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert here.__reduce__() == (IntegralLattice, (gram, labels))
+    for copy in (pickle.loads(pickle.dumps(here)), deepcopy(here), pickle.loads(bytes.fromhex(proc.stdout))):
+        assert copy == here and hash(copy) == hash(here)
+        assert (copy.gram, copy.labels, copy._standard) == (gram, labels, None)

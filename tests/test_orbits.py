@@ -27,7 +27,7 @@ from nlk3.lattice import (
 from nlk3.orbits import (
     LOCI,
     OrbitCandidate,
-    _dual_residues,
+    _half_class,
     eichler_candidates,
     find_witness,
     locus_lattice,
@@ -345,6 +345,20 @@ def test_witness_infeasible_candidate_returns_none():
     assert find_witness(la, cand) is None
 
 
+def test_witness_at_divisibility_zero_is_none():
+    la = build_standard("LambdaA1", g=5)
+    assert find_witness(la, OrbitCandidate(-2, 0, discriminant_group(la).element((0, 0)))) is None
+
+
+def test_witness_needs_two_hyperbolic_planes():
+    # E8neg is unimodular, so its one class passes the order and q checks,
+    # and the search stops at the missing U planes
+    e8 = build_standard("E8neg")
+    cand = OrbitCandidate(-2, 1, discriminant_group(e8).element(()))
+    with pytest.raises(ValueError, match="^witness search needs two orthogonal hyperbolic planes in the basis$"):
+        find_witness(e8, cand)
+
+
 def test_witness_closed_form_lambda_g():
     # nodal div-2 class w/2 in LambdaG: d*y = w has norm -10, so the witness
     # is w + 2*(e2 + b*f2) with b = (-2 + 10) / 8
@@ -596,14 +610,20 @@ def test_component_counts_sha256():
 
 
 def test_gram_row_classes_equal_dual_class():
-    # the labels read w/(2g-2) and s1/2 from w's and s1's Gram rows
+    # the labels read w/2, s1/2 and (w+s1)/2 from the sums of w's and s1's
+    # Gram rows: (g-1)*[w/(2g-2)], [s1/2] and their sum by dual_class
     for g in range(3, 201):
         for name in ("LambdaG", "LambdaA1"):
             l = build_standard(name, g=g)
             grp = discriminant_group(l)
-            for label in ("w", "s1") if name == "LambdaA1" else ("w",):
-                e = [int(s == label) for s in l.labels]
-                assert _dual_residues(grp, label) == dual_class(l, e).residues, (name, g, label)
+            basis = {s: [int(t == s) for t in l.labels] for s in ("w", "s1") if s in l.labels}
+            w = (g - 1) * dual_class(l, basis["w"])
+            expected = {(): grp.element((0,) * len(grp.factors)), ("w",): w}
+            if name == "LambdaA1":
+                s1 = dual_class(l, basis["s1"])
+                expected.update({("s1",): s1, ("w", "s1"): w + s1})
+            for vectors, x in expected.items():
+                assert _half_class(grp, vectors) == x.residues, (name, g, vectors)
 
 
 def test_component_count_determinism():
@@ -617,6 +637,26 @@ def test_locus_names():
         nl_component_count(6, "A_3")
     with pytest.raises(ValueError):
         nl_component_count(2, "nodal")
+
+
+@pytest.mark.parametrize("locus", LOCI)
+def test_unnamed_candidate_raises_unless_only_named_classes_count(monkeypatch, locus):
+    # the last generator is the class of w/(2g-2), of order 2g-2 = 8 at
+    # g = 5, and no half-vector has a class of that order: nodal and a11
+    # must name every candidate, a2 counts only its named class
+    from nlk3 import orbits
+
+    expected = nl_component_count(5, locus, with_witnesses=True)
+    grp = discriminant_group(locus_lattice(5, locus))
+    norm = -6 if locus == "a2" else -2
+    extra = OrbitCandidate(norm, 8, grp.element((0,) * (len(grp.factors) - 1) + (1,)))
+    real = orbits.eichler_candidates
+    monkeypatch.setattr(orbits, "eichler_candidates", lambda l, n: (*real(l, n), extra))
+    if locus == "a2":
+        assert nl_component_count(5, locus, with_witnesses=True) == expected
+    else:
+        with pytest.raises(RuntimeError, match=f"^unclassified {locus} candidate OrbitCandidate\\(norm=-2, divisibility=8,"):
+            nl_component_count(5, locus)
 
 
 def test_orbits_reads_one_private_name_of_lattice():

@@ -596,3 +596,28 @@ def test_hyperelliptic_reference_vector():
 def test_default_l_window():
     assert default_trunc_l(2, 2) == 6
     assert default_trunc_l(1, 3) == 8
+
+
+# ---------------------------------------------------------------------------
+# error and edge branches the tests above do not reach
+
+
+def test_series_rejects_negative_truncation_bounds():
+    with pytest.raises(ValueError, match="^truncation bounds must be non-negative$"):
+        GenusTwoSeries({}, -1, 2)
+
+
+def test_series_truncate_default_trunc_l():
+    # with no trunc_l the window keeps |l| within the smaller of the series'
+    # bound and default_trunc_l of the new (trunc_k, trunc_m)
+    x = GenusTwoSeries({(0, 0, 0): 1, (1, 4, 1): 2, (1, 5, 1): 3, (2, 6, 2): 4}, 2, 2)
+    assert (x.trunc_l, default_trunc_l(1, 1)) == (6, 4)
+    y = series_truncate(x, 1, 1)
+    assert (y.trunc_k, y.trunc_m, y.trunc_l) == (1, 1, 4)
+    assert y.coeffs == {(0, 0, 0): 1, (1, 4, 1): 2}
+
+
+def test_binomial_pow_rejects_negative_qt_and_q_exponents():
+    for monomial in ((-1, 0, 1), (1, 0, -1)):
+        with pytest.raises(ValueError, match="^monomial exponents of qt and q must be non-negative$"):
+            binomial_pow(monomial, 2, 2, 2)
