@@ -12,7 +12,9 @@ class Record:
     """Base of the frozen value types.
 
     A subclass names its fields, in order, in _fields, and its constructor
-    sets them through _set.  ==, hash and repr read the fields in that order,
+    sets them with vars(self).update(field=value, ...) in that order, so the
+    instance dict keeps the class's shared keys and a field reads as fast as
+    on a dataclass.  ==, hash and repr read the fields in that order,
     as a frozen dataclass's do: == holds only between instances of one
     class, hash is the hash of the field tuple, and repr is
     Name(field=value!r, ...).  Assigning or deleting an attribute raises
@@ -27,11 +29,6 @@ class Record:
         # one name returns the bare value, so a one-field class wraps it
         get = attrgetter(*cls._fields)
         cls._values = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
-
-    def _set(self, *values):
-        # a dict, not pairs: the instance dict then keeps the class's shared
-        # keys, and reading a field stays as fast as on a dataclass
-        vars(self).update(dict(zip(self._fields, values)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -19,7 +19,7 @@ class P2Class(Record):
     _fields = ("c0", "c1", "c2")
 
     def __init__(self, c0=0, c1=0, c2=0):
-        self._set(Fraction(c0), Fraction(c1), Fraction(c2))
+        vars(self).update(c0=Fraction(c0), c1=Fraction(c1), c2=Fraction(c2))
 
     def __add__(self, other):
         other = _as_class(other)
@@ -79,7 +79,7 @@ class SurfaceChernData(Record):
     _fields = ("alpha2", "alpha_c1", "c1sq", "c2")
 
     def __init__(self, alpha2: int, alpha_c1: int, c1sq: int, c2: int):
-        self._set(*map(exact_int, (alpha2, alpha_c1, c1sq, c2)))
+        vars(self).update(alpha2=exact_int(alpha2), alpha_c1=exact_int(alpha_c1), c1sq=exact_int(c1sq), c2=exact_int(c2))
 
 
 def net_invariants(data: SurfaceChernData) -> tuple[int, int, int]:
@@ -117,7 +117,7 @@ class UnigonalTable(Record):
     _fields = TABLE_CLASSES
 
     def __init__(self, a1: P2Class, a2: P2Class, a3: P2Class, a1sq: P2Class, a1a2: P2Class, delta: P2Class):
-        self._set(a1, a2, a3, a1sq, a1a2, delta)
+        vars(self).update(a1=a1, a2=a2, a3=a3, a1sq=a1sq, a1a2=a1a2, delta=delta)
 
 
 def loads_unigonal(text: str) -> UnigonalTable:

@@ -148,7 +148,7 @@ class LatticeVector(Record):
     _fields = ("coords",)
 
     def __init__(self, coords):
-        self._set(exact_ints(coords))
+        vars(self).update(coords=exact_ints(coords))
 
 
 def _coords(v):
@@ -188,7 +188,7 @@ class IntegralLattice(Record):
             # from_text splits labels on any whitespace, as str.split does
             if any(s.split() != [s] for s in labels):
                 raise ValueError("labels must be nonempty and contain no whitespace")
-        self._set(g, labels)
+        vars(self).update(gram=g, labels=labels)
         # lattices key the discriminant_group cache: hash the Gram only once
         vars(self)["_hash"] = hash((g, labels))
 
@@ -397,7 +397,7 @@ class DiscElement(Record):
 
     def __init__(self, factors, residues):
         factors = exact_ints(factors)
-        self._set(factors, tuple(a % d for a, d in zip(exact_ints(residues), factors, strict=True)))
+        vars(self).update(factors=factors, residues=tuple(a % d for a, d in zip(exact_ints(residues), factors, strict=True)))
 
     @classmethod
     def _reduced(cls, factors, residues):

@@ -25,7 +25,7 @@ class NLKey(Record):
         g, d, n = exact_int(g), exact_int(d), exact_int(n)
         if g < 2:
             raise ValueError("genus must be at least 2")
-        self._set(g, d, n)
+        vars(self).update(g=g, d=d, n=n)
 
 
 class NLVectorData(Record):
@@ -36,7 +36,7 @@ class NLVectorData(Record):
     _fields = ("half_norm", "disc_class", "multiplicity_two")
 
     def __init__(self, half_norm: Fraction, disc_class: int, multiplicity_two: bool):
-        self._set(half_norm, disc_class, multiplicity_two)
+        vars(self).update(half_norm=half_norm, disc_class=disc_class, multiplicity_two=multiplicity_two)
 
 
 def delta(key: NLKey) -> int:

@@ -34,7 +34,7 @@ class OrbitCandidate(Record):
     _fields = ("norm", "divisibility", "dual_class", "witness")
 
     def __init__(self, norm: int, divisibility: int, dual_class: DiscElement, witness: LatticeVector | None = None):
-        self._set(norm, divisibility, dual_class, witness)
+        vars(self).update(norm=norm, divisibility=divisibility, dual_class=dual_class, witness=witness)
 
 
 class Component(Record):
@@ -43,7 +43,7 @@ class Component(Record):
     _fields = ("label", "candidate")
 
     def __init__(self, label: str, candidate: OrbitCandidate):
-        self._set(label, candidate)
+        vars(self).update(label=label, candidate=candidate)
 
 
 def eichler_candidates(l: IntegralLattice, norm: int) -> tuple[OrbitCandidate, ...]:
@@ -112,9 +112,10 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | No
 
 
 # each locus: the period lattice and norm of the vectors cutting it out,
-# whether every Eichler candidate must be one of its components (else only
-# the named classes count), and each component's label with the basis
-# vectors v whose half v/2 has its class
+# whether every Eichler candidate must be one of its components (then the
+# candidates are scanned; else only the named classes count, and each is
+# tested alone), and each component's label with the basis vectors v whose
+# half v/2 has its class
 _LOCI = {
     "nodal": ("LambdaG", -2, True, (("P_{0,-2}", ()), ("P_{g-1,(g-2)/2}", ("w",)))),
     "a11": ("LambdaA1", -2, True, (("H'", ()), ("H''", ("w",)), ("H'''", ("w", "s1")))),
@@ -133,23 +134,24 @@ def _canon_locus(locus: str) -> str:
     return s
 
 
-def _half_class(grp, vectors) -> tuple[int, ...]:
-    """Residues of the class of v/2, v the sum of the named basis vectors:
-    G.v is the sum of their Gram rows, and the empty sum is 0."""
-    if not vectors:
-        return (0,) * len(grp.factors)
+def _half_class(grp, vectors) -> DiscElement:
+    """The class of v/2, v the sum of the named basis vectors: G.v is the
+    sum of their Gram rows, and the empty sum is 0."""
     l = grp.lattice
-    gv, *rest = (l.gram[l.labels.index(s)] for s in vectors)
-    for row in rest:
-        gv = tuple(map(add, gv, row))
-    return grp._class_of(gv, 2).residues
+    gv = (0,) * l.rank
+    for s in vectors:
+        gv = tuple(map(add, gv, l.gram[l.labels.index(s)]))
+    return grp._class_of(gv, 2)
 
 
 def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     """Number of irreducible components of a lattice-defined locus in genus g,
     with classical labels and the orbit candidate behind each component.
 
-    Each locus is a row of _LOCI, each component the class of a half-vector:
+    Each locus is a row of _LOCI, each component the class of a half-vector.
+    nodal and a11 scan the Eichler candidates and must name each, deriving
+    the named classes only for a candidate of nonzero class; a2 tests its
+    one named class directly instead of scanning:
 
     nodal  norm -2 vectors in the genus-g period lattice: P_{0,-2} (class 0)
            always, plus P_{g-1,(g-2)/2} (class w/2) exactly when g = 2 mod 4.
@@ -174,21 +176,31 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     locus = _canon_locus(locus)
     name, norm, exhaustive, named = _LOCI[locus]
     l = build_standard(name, g=g)
-    # a candidate's divisibility is the order of its class, so the class
-    # alone decides the label
     grp = discriminant_group(l)
-    labels = {_half_class(grp, vectors): label for label, vectors in named}
-    components = []
-    for cand in eichler_candidates(l, norm):
-        label = labels.get(cand.dual_class.residues)
-        if label is None:
-            if exhaustive:  # impossible by the discriminant arithmetic; keep loud
+    hits = []
+    if exhaustive:
+        # a candidate's divisibility is the order of its class, so the class
+        # alone decides the label; class 0, all that most genera have, is the
+        # empty sum's, and the other classes are derived once one is needed
+        labels = {(0,) * len(grp.factors): label for label, vectors in named if not vectors}
+        for cand in eichler_candidates(l, norm):
+            if cand.dual_class.residues not in labels:
+                labels = {_half_class(grp, vectors).residues: label for label, vectors in named}
+            if cand.dual_class.residues not in labels:  # impossible by the discriminant arithmetic; keep loud
                 raise RuntimeError(f"unclassified {locus} candidate {cand}")
-            continue
-        if with_witnesses:
-            cand = OrbitCandidate(cand.norm, cand.divisibility, cand.dual_class, find_witness(l, cand))
-        components.append(Component(label, cand))
-    return len(components), tuple(components)
+            hits.append((labels[cand.dual_class.residues], cand))
+    else:
+        # the scan holds a class x, once, as OrbitCandidate(norm, d, x)
+        # exactly when its order d divides the norm and q(x) = norm/d^2
+        for label, vectors in named:
+            x = _half_class(grp, vectors)
+            d = x.order()
+            if norm % d == 0 and grp.quadratic_is(x, norm, d * d):
+                hits.append((label, OrbitCandidate(norm, d, x)))
+        hits.sort(key=lambda hit: (hit[1].divisibility, hit[1].dual_class.residues))
+    if with_witnesses:
+        hits = [(label, OrbitCandidate(c.norm, c.divisibility, c.dual_class, find_witness(l, c))) for label, c in hits]
+    return len(hits), tuple(Component(label, c) for label, c in hits)
 
 
 def locus_lattice(g: int, locus: str) -> IntegralLattice:

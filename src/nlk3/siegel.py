@@ -46,14 +46,14 @@ class GenusTwoSeries(Record):
             if k > trunc_k or m > trunc_m or abs(l) > trunc_l:
                 raise ValueError(f"index {key} exceeds truncation ({trunc_k}, {trunc_m}, |l| <= {trunc_l})")
             stored[(k, l, m)] = value
-        self._set(stored, trunc_k, trunc_m, trunc_l)
+        vars(self).update(coeffs=stored, trunc_k=trunc_k, trunc_m=trunc_m, trunc_l=trunc_l)
 
     @classmethod
     def _exact(cls, coeffs: dict, trunc_k: int, trunc_m: int, trunc_l: int) -> GenusTwoSeries:
         """The series of a dict of nonzero Fractions at int indices inside an
         int window, as series_mul builds it, without checking them again."""
         x = object.__new__(cls)
-        x._set(coeffs, trunc_k, trunc_m, trunc_l)
+        vars(x).update(coeffs=coeffs, trunc_k=trunc_k, trunc_m=trunc_m, trunc_l=trunc_l)
         return x
 
     def coefficient(self, k: int, l: int, m: int) -> Fraction:
@@ -166,7 +166,7 @@ class HalfIntegralTable(Record):
                 vals[m] = c
         if vals.get(-1) != 2:
             raise ValueError("pole coefficient c(-1) must be 2")
-        self._set(vals, max(vals))
+        vars(self).update(values=vals, support_max=max(vals))
 
     def c(self, m: int) -> int:
         m = exact_int(m)
@@ -335,10 +335,10 @@ class Weight10Basis(Record):
     _fields = ("exponents", "e4", "e6")
 
     def __init__(self, exponents: HalfIntegralTable | None = None, e4: GenusTwoSeries | None = None, e6: GenusTwoSeries | None = None):
-        self._set(
-            default_chi10_exponents() if exponents is None else exponents,
-            e4_series() if e4 is None else e4,
-            e6_series() if e6 is None else e6,
+        vars(self).update(
+            exponents=default_chi10_exponents() if exponents is None else exponents,
+            e4=e4_series() if e4 is None else e4,
+            e6=e6_series() if e6 is None else e6,
         )
 
     def series(self, trunc_k: int, trunc_m: int) -> tuple[GenusTwoSeries, GenusTwoSeries]:
@@ -352,7 +352,7 @@ class Weight10Fit(Record):
     _fields = ("a", "b")
 
     def __init__(self, a, b):
-        self._set(Fraction(a), Fraction(b))
+        vars(self).update(a=Fraction(a), b=Fraction(b))
 
 
 def fit_weight10(observations, basis: Weight10Basis | None = None) -> Weight10Fit:

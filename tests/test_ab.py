@@ -1,0 +1,41 @@
+"""The summary that tools/ab.py writes from paired benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def test_summarize_takes_inclusive_quartiles():
+    runs = [5.0, 1.0, 4.0, 2.0, 3.0]
+    assert ab.summarize(runs, "s") == {"min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0, "n": 5, "unit": "s", "runs": runs}
+    # between order statistics: q1 = x1 + 0.25 * (x2 - x1) on sorted runs
+    s = ab.summarize([1.0, 2.0, 3.0, 5.0], "ms")
+    assert (s["q1"], s["median"], s["q3"]) == (1.75, 2.5, 3.5)
+    assert ab.summarize([7.0], "MB") == {"min": 7.0, "q1": 7.0, "median": 7.0, "q3": 7.0, "max": 7.0, "n": 1, "unit": "MB", "runs": [7.0]}
+
+
+def test_compare_counts_wins_in_each_metric_direction():
+    metrics = {"wall_s": ("s", "lower"), "ops_per_s": ("1/s", "higher")}
+    parent = {"wall_s": [10.0, 10.0, 12.0, 11.0], "ops_per_s": [100.0, 100.0, 80.0, 90.0]}
+    change = {"wall_s": [9.0, 10.0, 13.0, 8.0], "ops_per_s": [110.0, 100.0, 70.0, 120.0]}
+    out = ab.compare(parent, change, metrics)
+    # a tie is no win
+    assert out["wins"] == {"wall_s": "2/4", "ops_per_s": "2/4"}
+    assert out["parent"]["wall_s"]["median"] == 10.5
+    assert out["change"]["wall_s"]["median"] == 9.5
+    assert out["parent_iqr"]["wall_s"] == pytest.approx(11.25 - 10.0)
+    assert out["median_delta"] == {"wall_s": -1.0, "ops_per_s": 10.0}
+    assert out["median_change_pct"]["wall_s"] == pytest.approx(-100 / 10.5)
+    assert out["median_change_pct"]["ops_per_s"] == pytest.approx(10.0 / 0.95)
+    assert out["change"]["ops_per_s"]["runs"] == change["ops_per_s"]
+
+
+def test_compare_leaves_the_change_of_a_zero_median_undefined():
+    out = ab.compare({"x": [0.0, 0.0]}, {"x": [1.0, 1.0]}, {"x": ("1", "lower")})
+    assert out["median_change_pct"] == {"x": None}
+    assert out["wins"] == {"x": "0/2"}

@@ -66,7 +66,8 @@ def test_mu_validation():
 
 def test_mu_zero_when_not_square():
     assert mu_coefficient(NLKey(6, 0, -3), NLKey(6, 0, -2)) == 0  # ratio 3/2
-    assert mu_coefficient(NLKey(6, 1, -2), NLKey(6, 0, -2)) == 0  # ratio not square
+    assert mu_coefficient(NLKey(6, 1, -2), NLKey(6, 0, -2)) == 0  # ratio 21/20, not an integer
+    assert mu_coefficient(NLKey(6, 0, -4), NLKey(6, 0, -2)) == 0  # ratio 2, an integer but not a square
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,6 +221,16 @@ def test_triangular_huge_discriminant_is_cheap():
     reps = triangular_decomposition(NLKey(10**13, 0, -2))
     assert time.perf_counter() - start < 0.1
     assert [(r.g, r.d, r.n, mu) for r, mu in reps] == [(10**13, 0, -2, 2)]
+
+
+def test_trial_division_bound_is_exact(monkeypatch):
+    # t = 7^3 needs the trial divisor p = 7 (7^3 <= 343): a bound of 7
+    # answers it, a bound of 6 refuses it
+    monkeypatch.setattr(nldiv, "TRIAL_DIVISION_MAX", 7)
+    assert _square_divisors(343) == [1, 7]
+    monkeypatch.setattr(nldiv, "TRIAL_DIVISION_MAX", 6)
+    with pytest.raises(ValueError, match="^Delta = -343: its square divisors need trial division past 6$"):
+        _square_divisors(343)
 
 
 def test_triangular_residue_scan_bound_is_exact(monkeypatch):

@@ -26,6 +26,7 @@ from nlk3.lattice import (
 )
 from nlk3.orbits import (
     LOCI,
+    Component,
     OrbitCandidate,
     _half_class,
     eichler_candidates,
@@ -623,7 +624,7 @@ def test_gram_row_classes_equal_dual_class():
                 s1 = dual_class(l, basis["s1"])
                 expected.update({("s1",): s1, ("w", "s1"): w + s1})
             for vectors, x in expected.items():
-                assert _half_class(grp, vectors) == x.residues, (name, g, vectors)
+                assert _half_class(grp, vectors) == x, (name, g, vectors)
 
 
 def test_component_count_determinism():
@@ -657,6 +658,68 @@ def test_unnamed_candidate_raises_unless_only_named_classes_count(monkeypatch, l
     else:
         with pytest.raises(RuntimeError, match=f"^unclassified {locus} candidate OrbitCandidate\\(norm=-2, divisibility=8,"):
             nl_component_count(5, locus)
+
+
+# the scan route for every locus: every Eichler candidate, labelled by the
+# class of its named half-vector; a2 keeps only the class of s1/2
+_SCANNED_LOCI = {
+    "nodal": ("LambdaG", -2, {(): "P_{0,-2}", ("w",): "P_{g-1,(g-2)/2}"}),
+    "a11": ("LambdaA1", -2, {(): "H'", ("w",): "H''", ("w", "s1"): "H'''"}),
+    "a2": ("LambdaA1", -6, {("s1",): "H_{A_2}"}),
+}
+
+
+def _scanned_component_count(g, locus, with_witnesses):
+    name, norm, named = _SCANNED_LOCI[locus]
+    l = build_standard(name, g=g)
+    grp = discriminant_group(l)
+    labels = {_half_class(grp, vectors): label for vectors, label in named.items()}
+    comps = []
+    for cand in eichler_candidates(l, norm):
+        if cand.dual_class not in labels:
+            assert locus == "a2", (g, locus, cand)
+            continue
+        witness = find_witness(l, cand) if with_witnesses else None
+        comps.append(Component(labels[cand.dual_class], OrbitCandidate(norm, cand.divisibility, cand.dual_class, witness)))
+    return len(comps), tuple(comps)
+
+
+@pytest.mark.parametrize("locus", LOCI)
+def test_component_counts_equal_the_scan_route(locus):
+    for g in range(3, 301):
+        want = _scanned_component_count(g, locus, g % 7 == 0)
+        assert nl_component_count(g, locus, with_witnesses=g % 7 == 0) == want, g
+
+
+def test_a2_count_makes_no_eichler_scan(monkeypatch):
+    # a2 tests its one named class, s1/2, instead of scanning the torsion
+    from nlk3 import lattice, orbits
+
+    genera = [3, 4, 5, 6, 7, 13, 22, 100, 997, 10**6]
+    want = [nl_component_count(g, "a2", with_witnesses=True) for g in genera]
+
+    def no_scan(*args):
+        raise AssertionError("Eichler scan")
+
+    monkeypatch.setattr(orbits, "eichler_candidates", no_scan)
+    monkeypatch.setattr(lattice.DiscriminantGroup, "eichler_classes", no_scan)
+    assert [nl_component_count(g, "a2", with_witnesses=True) for g in genera] == want
+
+
+@pytest.mark.parametrize("locus", ["nodal", "a11"])
+def test_labels_are_derived_only_for_a_nonzero_candidate(monkeypatch, locus):
+    # at g = 1 mod 4 the only candidate is class 0, the empty sum's, and no
+    # half-vector class is derived; at g = 2 mod 4 the class of w/2 needs
+    # its label, and every named class is derived once
+    from nlk3 import orbits
+
+    want = {g: nl_component_count(g, locus) for g in (5, 6)}
+    calls = []
+    real = orbits._half_class
+    monkeypatch.setattr(orbits, "_half_class", lambda grp, vectors: calls.append(vectors) or real(grp, vectors))
+    assert nl_component_count(5, locus) == want[5] and calls == []
+    assert nl_component_count(6, locus) == want[6]
+    assert calls == [vectors for vectors, _ in _SCANNED_LOCI[locus][2].items()]
 
 
 def test_orbits_reads_one_private_name_of_lattice():
