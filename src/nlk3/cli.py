@@ -359,10 +359,13 @@ def _crit_e4e6():
 
 
 def _crit_fit():
+    """The weight-10 fit to twice the unigonal counts.  Its cuspidal and
+    binodal predictions return the fit's inputs, halved, whatever the tables
+    say; the content is a = 1, which (chi10 having (1,1,1) = 1, (1,0,1) = -2)
+    is the chi10-free identity 2*816 + 33480 = 35112 = (2*57792 - 45360)/2."""
     basis = siegel.Weight10Basis()
-    fit = siegel.fit_weight10({(1, 1, 1): 1632, (1, 0, 1): 66960}, basis=basis)
-    table = chern.default_unigonal_table()
-    counts = chern.unigonal_counts(table)
+    a2, a11 = counts = chern.unigonal_counts(chern.default_unigonal_table())
+    fit = siegel.fit_weight10({(1, 1, 1): 2 * a2, (1, 0, 1): 2 * a11}, basis=basis)
     got = (
         (fit.a, fit.b),
         (siegel.predict_nl(fit, "cuspidal", basis=basis), siegel.predict_nl(fit, "binodal", basis=basis)),
@@ -373,31 +376,35 @@ def _crit_fit():
 
 
 def _crit_components():
+    """Counts for g = 3..100, witnesses at g = 6, 7, and every nodal and a11
+    Eichler candidate named at g = 3..6: a norm -2 candidate is 2-torsion,
+    spanned by w/2 and s1/2 with q = -(g-1)/2 and -3/2 mod 2Z, a pattern
+    fixed by g mod 4, so these four genera cover every g."""
     bad = []
     for g in range(3, 101):
-        nodal, _ = orbits.nl_component_count(g, "nodal")
-        a11, _ = orbits.nl_component_count(g, "a11")
-        a2, _ = orbits.nl_component_count(g, "a2")
+        got = tuple(orbits.nl_component_count(g, locus)[0] for locus in orbits.LOCI)
         want = (2 if g % 4 == 2 else 1, 2 if g % 4 in (2, 3) else 1, 1)
-        if (nodal, a11, a2) != want:
-            bad.append(f"g={g}: {(nodal, a11, a2)} != {want}")
+        if got != want:
+            bad.append(f"g={g}: {got} != {want}")
+    for g in (3, 4, 5, 6):
+        for locus in ("nodal", "a11"):
+            _, comps = orbits.nl_component_count(g, locus)
+            if tuple(comp.candidate for comp in comps) != orbits.eichler_candidates(orbits.locus_lattice(g, locus), -2):
+                bad.append(f"g={g} {locus}: an Eichler candidate is not a named component")
     for g in (6, 7):
         for locus in orbits.LOCI:
             _, comps = orbits.nl_component_count(g, locus, with_witnesses=True)
             lat = orbits.locus_lattice(g, locus)
             for comp in comps:
-                cand = comp.candidate
-                w = cand.witness
+                cand, w = comp.candidate, comp.candidate.witness
                 if w is None:
                     bad.append(f"g={g} {locus} {comp.label}: no witness")
-                    continue
-                ok = (
+                elif not (
                     lattice.is_primitive(lat, w)
                     and lat.norm(w) == cand.norm
                     and lattice.divisibility(lat, w) == cand.divisibility
                     and lattice.dual_class(lat, w) == cand.dual_class
-                )
-                if not ok:
+                ):
                     bad.append(f"g={g} {locus} {comp.label}: witness fails validation")
     return "component counts g=3..100 and witnesses", "all match", "all match" if not bad else "; ".join(bad)
 

@@ -111,15 +111,13 @@ def find_witness(l: IntegralLattice, cand: OrbitCandidate) -> LatticeVector | No
 # component counts for the nodal, A11 and A2 loci
 
 
-# each locus: the period lattice and norm of the vectors cutting it out,
-# whether every Eichler candidate must be one of its components (then the
-# candidates are scanned; else only the named classes count, and each is
-# tested alone), and each component's label with the basis vectors v whose
-# half v/2 has its class
+# each locus: the period lattice and norm of the vectors cutting it out, and
+# each component's label with the basis vectors v whose half v/2 has its
+# class
 _LOCI = {
-    "nodal": ("LambdaG", -2, True, (("P_{0,-2}", ()), ("P_{g-1,(g-2)/2}", ("w",)))),
-    "a11": ("LambdaA1", -2, True, (("H'", ()), ("H''", ("w",)), ("H'''", ("w", "s1")))),
-    "a2": ("LambdaA1", -6, False, (("H_{A_2}", ("s1",)),)),
+    "nodal": ("LambdaG", -2, (("P_{0,-2}", ()), ("P_{g-1,(g-2)/2}", ("w",)))),
+    "a11": ("LambdaA1", -2, (("H'", ()), ("H''", ("w",)), ("H'''", ("w", "s1")))),
+    "a2": ("LambdaA1", -6, (("H_{A_2}", ("s1",)),)),
 }
 LOCI = tuple(_LOCI)
 _LOCUS_ALIASES = {"node": "nodal", "oneplusa1": "a11"}
@@ -148,10 +146,11 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     """Number of irreducible components of a lattice-defined locus in genus g,
     with classical labels and the orbit candidate behind each component.
 
-    Each locus is a row of _LOCI, each component the class of a half-vector.
-    nodal and a11 scan the Eichler candidates and must name each, deriving
-    the named classes only for a candidate of nonzero class; a2 tests its
-    one named class directly instead of scanning:
+    Each component is the class x of a named half-vector of its _LOCI row.
+    The Eichler scan of the norm holds x, once, exactly when its order d
+    divides the norm and q(x) = norm/d^2 mod 2Z, so each named class is
+    tested alone and no torsion is scanned; `nlk3 verify` criterion 6
+    checks that nodal and a11 name every candidate:
 
     nodal  norm -2 vectors in the genus-g period lattice: P_{0,-2} (class 0)
            always, plus P_{g-1,(g-2)/2} (class w/2) exactly when g = 2 mod 4.
@@ -167,40 +166,24 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
            larger Picard sublattice, and are booked under deeper loci rather
            than as new A2 components; nothing here computes that saturation.
 
-    With with_witnesses every component carries the closed-form witness of
-    find_witness, which exists for every Eichler candidate.
+    The components come in the scan's order (class 0 first; a11's two
+    order-2 classes never occur together).  With with_witnesses each carries
+    find_witness's closed-form witness, which every Eichler candidate has.
     """
     g = exact_int(g)
     if g < 3:
         raise ValueError("genus must be at least 3")
-    locus = _canon_locus(locus)
-    name, norm, exhaustive, named = _LOCI[locus]
+    name, norm, named = _LOCI[_canon_locus(locus)]
     l = build_standard(name, g=g)
     grp = discriminant_group(l)
-    hits = []
-    if exhaustive:
-        # a candidate's divisibility is the order of its class, so the class
-        # alone decides the label; class 0, all that most genera have, is the
-        # empty sum's, and the other classes are derived once one is needed
-        labels = {(0,) * len(grp.factors): label for label, vectors in named if not vectors}
-        for cand in eichler_candidates(l, norm):
-            if cand.dual_class.residues not in labels:
-                labels = {_half_class(grp, vectors).residues: label for label, vectors in named}
-            if cand.dual_class.residues not in labels:  # impossible by the discriminant arithmetic; keep loud
-                raise RuntimeError(f"unclassified {locus} candidate {cand}")
-            hits.append((labels[cand.dual_class.residues], cand))
-    else:
-        # the scan holds a class x, once, as OrbitCandidate(norm, d, x)
-        # exactly when its order d divides the norm and q(x) = norm/d^2
-        for label, vectors in named:
-            x = _half_class(grp, vectors)
-            d = x.order()
-            if norm % d == 0 and grp.quadratic_is(x, norm, d * d):
-                hits.append((label, OrbitCandidate(norm, d, x)))
-        hits.sort(key=lambda hit: (hit[1].divisibility, hit[1].dual_class.residues))
-    if with_witnesses:
-        hits = [(label, OrbitCandidate(c.norm, c.divisibility, c.dual_class, find_witness(l, c))) for label, c in hits]
-    return len(hits), tuple(Component(label, c) for label, c in hits)
+    comps = []
+    for label, vectors in named:
+        x = _half_class(grp, vectors)
+        d = x.order()
+        if norm % d == 0 and grp.quadratic_is(x, norm, d * d):
+            cand = OrbitCandidate(norm, d, x)
+            comps.append(Component(label, OrbitCandidate(norm, d, x, find_witness(l, cand)) if with_witnesses else cand))
+    return len(comps), tuple(comps)
 
 
 def locus_lattice(g: int, locus: str) -> IntegralLattice:

@@ -1,6 +1,8 @@
 """The summary that tools/ab.py writes from paired benchmark runs."""
 
 import importlib.util
+import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,46 @@ def test_compare_leaves_the_change_of_a_zero_median_undefined():
     out = ab.compare({"x": [0.0, 0.0]}, {"x": [1.0, 1.0]}, {"x": ("1", "lower")})
     assert out["median_change_pct"] == {"x": None}
     assert out["wins"] == {"x": "0/2"}
+
+
+# the committed BENCH_*.json files, by what their summaries reproduce with
+# ab.compare: all of it, only the per-side stats (its pairwise keys have
+# another layout), or nothing, since they took exclusive quartiles
+_ROOT = Path(__file__).resolve().parents[1]
+_FULL = ("BENCH_integer_loops.json", "BENCH_named_classes.json", "BENCH_residue_labels.json")
+_PER_SIDE = ("BENCH_record_base.json",)
+_EXEMPT = ("BENCH_sparse_gram.json", "BENCH_summand_groups.json", "BENCH_validate_once.json")
+_STATS = ("min", "q1", "median", "q3", "max", "n")
+
+
+def _recomputed(name):
+    metrics = {m["name"]: (m["unit"], m["better"]) for m in json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+    bench = json.loads((_ROOT / name).read_text(encoding="utf-8"))
+    assert bench["workloads"]
+    for workload, stored in bench["workloads"].items():
+        runs = [{k: stored[side][k]["runs"] for k in metrics} for side in ab.SIDES]
+        yield workload, stored, ab.compare(*runs, metrics), metrics
+
+
+def test_every_committed_bench_file_is_classified():
+    assert sorted(p.name for p in _ROOT.glob("BENCH_*.json")) == sorted(_FULL + _PER_SIDE + _EXEMPT)
+
+
+@pytest.mark.parametrize("name", _FULL + _PER_SIDE)
+def test_committed_bench_summaries_reproduce(name):
+    for workload, stored, out, metrics in _recomputed(name):
+        for side in ab.SIDES:
+            for metric in metrics:
+                assert {s: out[side][metric][s] for s in _STATS} == pytest.approx({s: stored[side][metric][s] for s in _STATS}, rel=1e-12), (workload, side, metric)
+        if name in _FULL:
+            assert out["wins"] == stored["wins"], workload
+
+
+@pytest.mark.parametrize("name", _EXEMPT)
+def test_exempt_bench_files_took_exclusive_quartiles(name):
+    for workload, stored, out, metrics in _recomputed(name):
+        for side in ab.SIDES:
+            for metric in metrics:
+                q1, _, q3 = statistics.quantiles(stored[side][metric]["runs"], n=4, method="exclusive")
+                assert (q1, q3) == pytest.approx((stored[side][metric]["q1"], stored[side][metric]["q3"]), rel=1e-12), (workload, side, metric)
+                assert out[side][metric]["median"] == stored[side][metric]["median"]

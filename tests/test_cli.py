@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import nlk3
-from nlk3 import cli, nldiv, siegel
+from nlk3 import chern, cli, nldiv, siegel
 from nlk3.lattice import STANDARD_NAMES, IntegralLattice, build_standard, smith_normal_form
 
 from lattice_helpers import direct_sum, to_text
@@ -658,6 +658,26 @@ def test_verify_fit_criterion_parses_each_siegel_table_once(capsys, monkeypatch)
     assert code == 0
     assert json.loads(out)["result"][0]["pass"] is True
     assert parsed == {"loads_half_integral": 1, "loads_coeff_table": 2}
+
+
+@pytest.mark.parametrize(
+    "module,loader,parse,table,line,edited",
+    [
+        (chern, "default_unigonal_table", chern.loads_unigonal, "unigonal.tbl", "a1a2 0 0 -600", "a1a2 0 0 -602"),
+        (siegel, "e6_series", siegel.loads_coeff_table, "e6.tbl", "1 1 1 44352", "1 1 1 44353"),
+    ],
+    ids=["unigonal", "e6"],
+)
+def test_verify_fit_criterion_fails_on_an_edited_table(capsys, monkeypatch, module, loader, parse, table, line, edited):
+    # criterion 5 fits twice the unigonal counts against E4E6 and chi10, so
+    # an edit on either side moves the fit itself off (1, -56160)
+    text = (Path(nlk3.__file__).parent / "data" / table).read_text(encoding="utf-8")
+    assert line in text
+    monkeypatch.setattr(module, loader, lambda: parse(text.replace(line, edited)))
+    code, out, _ = run_cli(capsys, "verify", "--criterion", "5")
+    row = json.loads(out)["result"][0]
+    assert (code, row["pass"]) == (3, False)
+    assert row["expected"].split(";")[0] == "1,-56160" != row["actual"].split(";")[0]
 
 
 @pytest.mark.parametrize(

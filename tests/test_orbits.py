@@ -640,24 +640,24 @@ def test_locus_names():
         nl_component_count(2, "nodal")
 
 
-@pytest.mark.parametrize("locus", LOCI)
-def test_unnamed_candidate_raises_unless_only_named_classes_count(monkeypatch, locus):
-    # the last generator is the class of w/(2g-2), of order 2g-2 = 8 at
-    # g = 5, and no half-vector has a class of that order: nodal and a11
-    # must name every candidate, a2 counts only its named class
-    from nlk3 import orbits
+@pytest.mark.parametrize("locus", ["nodal", "a11"])
+def test_verify_fails_on_an_unnamed_candidate(capsys, monkeypatch, locus):
+    # the counts test only their named classes, so completeness is checked
+    # by criterion 6: the last generator is the class of w/(2g-2), of order
+    # 2g-2 = 8 at g = 5, and no half-vector has a class of that order
+    import json
 
-    expected = nl_component_count(5, locus, with_witnesses=True)
-    grp = discriminant_group(locus_lattice(5, locus))
-    norm = -6 if locus == "a2" else -2
-    extra = OrbitCandidate(norm, 8, grp.element((0,) * (len(grp.factors) - 1) + (1,)))
+    from nlk3 import cli, orbits
+
+    lat = locus_lattice(5, locus)
+    grp = discriminant_group(lat)
+    extra = OrbitCandidate(-2, 8, grp.element((0,) * (len(grp.factors) - 1) + (1,)))
     real = orbits.eichler_candidates
-    monkeypatch.setattr(orbits, "eichler_candidates", lambda l, n: (*real(l, n), extra))
-    if locus == "a2":
-        assert nl_component_count(5, locus, with_witnesses=True) == expected
-    else:
-        with pytest.raises(RuntimeError, match=f"^unclassified {locus} candidate OrbitCandidate\\(norm=-2, divisibility=8,"):
-            nl_component_count(5, locus)
+    monkeypatch.setattr(orbits, "eichler_candidates", lambda l, n: (*real(l, n), extra) if l == lat else real(l, n))
+    assert cli.main(["verify", "--criterion", "6"]) == 3
+    row = json.loads(capsys.readouterr().out)["result"][0]
+    assert row["pass"] is False
+    assert row["actual"] == f"g=5 {locus}: an Eichler candidate is not a named component"
 
 
 # the scan route for every locus: every Eichler candidate, labelled by the
@@ -691,35 +691,19 @@ def test_component_counts_equal_the_scan_route(locus):
         assert nl_component_count(g, locus, with_witnesses=g % 7 == 0) == want, g
 
 
-def test_a2_count_makes_no_eichler_scan(monkeypatch):
-    # a2 tests its one named class, s1/2, instead of scanning the torsion
+def test_component_counts_make_no_eichler_scan(monkeypatch):
+    # every locus tests its named classes instead of scanning the torsion
     from nlk3 import lattice, orbits
 
     genera = [3, 4, 5, 6, 7, 13, 22, 100, 997, 10**6]
-    want = [nl_component_count(g, "a2", with_witnesses=True) for g in genera]
+    want = [nl_component_count(g, locus, with_witnesses=True) for g in genera for locus in LOCI]
 
     def no_scan(*args):
         raise AssertionError("Eichler scan")
 
     monkeypatch.setattr(orbits, "eichler_candidates", no_scan)
     monkeypatch.setattr(lattice.DiscriminantGroup, "eichler_classes", no_scan)
-    assert [nl_component_count(g, "a2", with_witnesses=True) for g in genera] == want
-
-
-@pytest.mark.parametrize("locus", ["nodal", "a11"])
-def test_labels_are_derived_only_for_a_nonzero_candidate(monkeypatch, locus):
-    # at g = 1 mod 4 the only candidate is class 0, the empty sum's, and no
-    # half-vector class is derived; at g = 2 mod 4 the class of w/2 needs
-    # its label, and every named class is derived once
-    from nlk3 import orbits
-
-    want = {g: nl_component_count(g, locus) for g in (5, 6)}
-    calls = []
-    real = orbits._half_class
-    monkeypatch.setattr(orbits, "_half_class", lambda grp, vectors: calls.append(vectors) or real(grp, vectors))
-    assert nl_component_count(5, locus) == want[5] and calls == []
-    assert nl_component_count(6, locus) == want[6]
-    assert calls == [vectors for vectors, _ in _SCANNED_LOCI[locus][2].items()]
+    assert [nl_component_count(g, locus, with_witnesses=True) for g in genera for locus in LOCI] == want
 
 
 def test_orbits_reads_one_private_name_of_lattice():
