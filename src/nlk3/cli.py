@@ -390,7 +390,7 @@ def _crit_components():
         for locus in ("nodal", "a11"):
             _, comps = orbits.nl_component_count(g, locus)
             if tuple(comp.candidate for comp in comps) != orbits.eichler_candidates(orbits.locus_lattice(g, locus), -2):
-                bad.append(f"g={g} {locus}: an Eichler candidate is not a named component")
+                bad.append(f"g={g} {locus}: the components are not the Eichler candidates")
     for g in (6, 7):
         for locus in orbits.LOCI:
             _, comps = orbits.nl_component_count(g, locus, with_witnesses=True)

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -645,8 +646,6 @@ def test_verify_fails_on_an_unnamed_candidate(capsys, monkeypatch, locus):
     # the counts test only their named classes, so completeness is checked
     # by criterion 6: the last generator is the class of w/(2g-2), of order
     # 2g-2 = 8 at g = 5, and no half-vector has a class of that order
-    import json
-
     from nlk3 import cli, orbits
 
     lat = locus_lattice(5, locus)
@@ -657,7 +656,7 @@ def test_verify_fails_on_an_unnamed_candidate(capsys, monkeypatch, locus):
     assert cli.main(["verify", "--criterion", "6"]) == 3
     row = json.loads(capsys.readouterr().out)["result"][0]
     assert row["pass"] is False
-    assert row["actual"] == f"g=5 {locus}: an Eichler candidate is not a named component"
+    assert row["actual"] == f"g=5 {locus}: the components are not the Eichler candidates"
 
 
 # the scan route for every locus: every Eichler candidate, labelled by the
