@@ -12,7 +12,8 @@ witness vectors.
 
 from __future__ import annotations
 
-from operator import add
+from fractions import Fraction
+from functools import lru_cache
 
 from ._inputs import Record, exact_int
 from .lattice import (
@@ -132,25 +133,43 @@ def _canon_locus(locus: str) -> str:
     return s
 
 
-def _half_class(grp, vectors) -> DiscElement:
-    """The class of v/2, v the sum of the named basis vectors: G.v is the
-    sum of their Gram rows, and the empty sum is 0."""
-    l = grp.lattice
-    gv = (0,) * l.rank
-    for s in vectors:
-        gv = tuple(map(add, gv, l.gram[l.labels.index(s)]))
-    return grp._class_of(gv, 2)
+@lru_cache(maxsize=len(_LOCI))
+def _class_table(locus: str):
+    """(fixed factors, rows) of a canonical locus, read once from its genus-3
+    group: the invariant factors of the fixed summands (all but <-(2g-2)>),
+    and per label (label, the residues of v/2 on them, whether v names w,
+    v^2 without w^2, the order of the class of v/2), v the sum of the
+    label's named basis vectors.
+
+    None of these depends on g: every g >= 3 takes DiscriminantGroup's
+    summand route, with the same fixed generators and w's Z/(2g-2) last, w is
+    orthogonal to the fixed summands, and w/2 = (g-1)*w/(2g-2) has order 2.
+    """
+    name, _, named = _LOCI[locus]
+    l = build_standard(name, g=3)
+    grp = discriminant_group(l)
+    rows = []
+    for label, vectors in named:
+        x = grp.element_of([Fraction(int(s in vectors), 2) for s in l.labels])
+        fixed = [int(s in vectors and s != "w") for s in l.labels]
+        rows.append((label, x.residues[:-1], "w" in vectors, l.norm(fixed), x.order()))
+    return grp.factors[:-1], tuple(rows)
 
 
 def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     """Number of irreducible components of a lattice-defined locus in genus g,
     with classical labels and the orbit candidate behind each component.
 
-    Each component is the class x of a named half-vector of its _LOCI row.
-    The Eichler scan of the norm holds x, once, exactly when its order d
-    divides the norm and q(x) = norm/d^2 mod 2Z, so each named class is
+    Each component is the class x of a named half-vector v/2 of its _LOCI
+    row.  The Eichler scan of the norm holds x, once, exactly when its order
+    d divides the norm and q(x) = norm/d^2 mod 2Z, so each named class is
     tested alone and no torsion is scanned; `nlk3 verify` criterion 6
-    checks that nodal and a11 name every candidate:
+    checks that nodal and a11 name every candidate.  The classes come from
+    the locus's _class_table: at genus g the group adds w's factor 2g-2
+    last, and x adds w's residue g-1 when v names w, since
+    w/2 = (g-1)*w/(2g-2).  q(x) = q(v/2) = v^2/4 mod 2Z (Nikulin 1979, 1.3),
+    so the test runs in integers, and no lattice or discriminant group is
+    built for g:
 
     nodal  norm -2 vectors in the genus-g period lattice: P_{0,-2} (class 0)
            always, plus P_{g-1,(g-2)/2} (class w/2) exactly when g = 2 mod 4.
@@ -168,19 +187,24 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
 
     The components come in the scan's order (class 0 first; a11's two
     order-2 classes never occur together).  With with_witnesses each carries
-    find_witness's closed-form witness, which every Eichler candidate has.
+    find_witness's closed-form witness, which every Eichler candidate has;
+    only the witnesses build the genus-g lattice.
     """
     g = exact_int(g)
     if g < 3:
         raise ValueError("genus must be at least 3")
-    name, norm, named = _LOCI[_canon_locus(locus)]
-    l = build_standard(name, g=g)
-    grp = discriminant_group(l)
+    locus = _canon_locus(locus)
+    name, norm, _ = _LOCI[locus]
+    fixed, rows = _class_table(locus)
+    a = 2 * g - 2
+    factors = (*fixed, a)
+    l = build_standard(name, g=g) if with_witnesses else None
     comps = []
-    for label, vectors in named:
-        x = _half_class(grp, vectors)
-        d = x.order()
-        if norm % d == 0 and grp.quadratic_is(x, norm, d * d):
+    for label, residues, names_w, v2, d in rows:
+        # v^2 = v2 - (2g-2) when v names w; q(x) = v^2/4 against norm/d^2
+        v2 -= a * names_w
+        if norm % d == 0 and (v2 * d * d - 4 * norm) % (8 * d * d) == 0:
+            x = DiscElement(factors, (*residues, (g - 1) * names_w))
             cand = OrbitCandidate(norm, d, x)
             comps.append(Component(label, OrbitCandidate(norm, d, x, find_witness(l, cand)) if with_witnesses else cand))
     return len(comps), tuple(comps)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import statistics
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -84,3 +85,37 @@ def test_exempt_bench_files_took_exclusive_quartiles(name):
                 q1, _, q3 = statistics.quantiles(stored[side][metric]["runs"], n=4, method="exclusive")
                 assert (q1, q3) == pytest.approx((stored[side][metric]["q1"], stored[side][metric]["q3"]), rel=1e-12), (workload, side, metric)
                 assert out[side][metric]["median"] == stored[side][metric]["median"]
+
+
+def test_both_sides_of_a_seed_run_from_paths_of_one_length(tmp_path, monkeypatch):
+    # each side is copied twice, and the seeds alternate the two copies, so a
+    # peak RSS that moves with the checkout's path length falls on both sides
+    metrics = [m["name"] for m in json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+    made, ran = [], []
+
+    def archive(repo, rev, dest):
+        made.append(dest)
+        Path(dest).mkdir(parents=True)
+        (Path(dest) / "BENCHMARK.json").write_text((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"), encoding="utf-8")
+        return rev
+
+    def bench(copy, workload, seed, seconds, trace):
+        ran.append((copy, seed, trace))
+        return {"metrics": {m: {"value": 1.0} for m in metrics}, "failed": 0, "correct": True}
+
+    # main asks git for the repository only to pass it to archive
+    monkeypatch.setattr(ab, "subprocess", SimpleNamespace(run=lambda *args, **kwargs: SimpleNamespace(stdout="repo\n")))
+    monkeypatch.setattr(ab, "archive", archive)
+    monkeypatch.setattr(ab, "bench", bench)
+    work = str(tmp_path / "w")
+    out = tmp_path / "ab.json"
+    argv = ["--parent", "p", "--change", "c", "--pairs", "4", "--seconds", "0", "--traced-seconds", "1", "--workload", "reproduce"]
+    assert ab.main([*argv, "--workdir", work, "--out", str(out)]) == 0
+    assert sorted(made) == sorted(ab.copy_dir(work, side, seed) for side in ab.SIDES for seed in (1, 2))
+    assert len({len(ab.copy_dir(work, side, 1)) for side in ab.SIDES}) == 1
+    assert len(ab.copy_dir(work, "parent", 1)) != len(ab.copy_dir(work, "parent", 2))
+    assert [(copy, seed) for copy, seed, trace in ran if not trace] == [
+        (ab.copy_dir(work, side, seed), seed) for seed in range(1, 5) for side in (ab.SIDES if seed % 2 else ab.SIDES[::-1])
+    ]
+    assert [copy for copy, _, trace in ran if trace] == [ab.copy_dir(work, side, 1) for side in ab.SIDES]
+    assert json.loads(out.read_text(encoding="utf-8"))["workloads"]["reproduce"]["wins"]["wall_s"] == "0/4"

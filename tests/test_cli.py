@@ -731,7 +731,7 @@ def test_caches_are_bounded():
             for name, obj in vars(owner).items():
                 if hasattr(obj, "cache_parameters"):
                     maxsizes[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
-    assert {"lattice.discriminant_group", "cli._build_parser"} <= set(maxsizes)
+    assert {"lattice.discriminant_group", "orbits._class_table", "cli._build_parser"} <= set(maxsizes)
     assert all(size is not None for size in maxsizes.values()), maxsizes
 
 

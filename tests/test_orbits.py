@@ -13,6 +13,7 @@ import pytest
 
 from nlk3.lattice import (
     STANDARD_NAMES,
+    DiscElement,
     IntegralLattice,
     LatticeVector,
     build_standard,
@@ -27,9 +28,10 @@ from nlk3.lattice import (
 )
 from nlk3.orbits import (
     LOCI,
+    _LOCI,
     Component,
     OrbitCandidate,
-    _half_class,
+    _class_table,
     eichler_candidates,
     find_witness,
     locus_lattice,
@@ -611,21 +613,29 @@ def test_component_counts_sha256():
     assert h.hexdigest() == COUNTS_SHA256
 
 
+def _half_class(l, vectors):
+    """The class of v/2, v the sum of the named basis vectors, by the public
+    dual_class: (div(v)/2)*[v/div(v)], and 0 for the empty sum."""
+    if not vectors:
+        grp = discriminant_group(l)
+        return grp.element((0,) * len(grp.factors))
+    v = [int(s in vectors) for s in l.labels]
+    return divisibility(l, v) // 2 * dual_class(l, v)
+
+
 def test_gram_row_classes_equal_dual_class():
-    # the labels read w/2, s1/2 and (w+s1)/2 from the sums of w's and s1's
-    # Gram rows: (g-1)*[w/(2g-2)], [s1/2] and their sum by dual_class
+    # the class table's rows, extended to genus g by w's factor 2g-2 and
+    # residue g-1, are the classes of v/2 by dual_class, with their order and
+    # v^2 = v2 - (2g-2) when v names w
     for g in range(3, 201):
-        for name in ("LambdaG", "LambdaA1"):
+        for locus, (name, _, named) in _LOCI.items():
             l = build_standard(name, g=g)
-            grp = discriminant_group(l)
-            basis = {s: [int(t == s) for t in l.labels] for s in ("w", "s1") if s in l.labels}
-            w = (g - 1) * dual_class(l, basis["w"])
-            expected = {(): grp.element((0,) * len(grp.factors)), ("w",): w}
-            if name == "LambdaA1":
-                s1 = dual_class(l, basis["s1"])
-                expected.update({("s1",): s1, ("w", "s1"): w + s1})
-            for vectors, x in expected.items():
-                assert _half_class(grp, vectors) == x, (name, g, vectors)
+            factors, rows = _class_table(locus)
+            for (label, vectors), (row_label, residues, names_w, v2, d) in zip(named, rows, strict=True):
+                x = _half_class(l, vectors)
+                assert (row_label, names_w) == (label, "w" in vectors)
+                assert DiscElement((*factors, 2 * g - 2), (*residues, (g - 1) * names_w)) == x, (g, locus, label)
+                assert (x.order(), l.norm([int(s in vectors) for s in l.labels])) == (d, v2 - (2 * g - 2) * names_w)
 
 
 def test_component_count_determinism():
@@ -671,8 +681,7 @@ _SCANNED_LOCI = {
 def _scanned_component_count(g, locus, with_witnesses):
     name, norm, named = _SCANNED_LOCI[locus]
     l = build_standard(name, g=g)
-    grp = discriminant_group(l)
-    labels = {_half_class(grp, vectors): label for vectors, label in named.items()}
+    labels = {_half_class(l, vectors): label for vectors, label in named.items()}
     comps = []
     for cand in eichler_candidates(l, norm):
         if cand.dual_class not in labels:
@@ -705,9 +714,25 @@ def test_component_counts_make_no_eichler_scan(monkeypatch):
     assert [nl_component_count(g, locus, with_witnesses=True) for g in genera for locus in LOCI] == want
 
 
-def test_orbits_reads_one_private_name_of_lattice():
-    # the component-count labels read classes straight off Gram rows; every
-    # other read of lattice goes through its public names
+def test_counts_without_witnesses_build_no_lattice_or_group(monkeypatch):
+    # once each locus has read its class table, a count without witnesses
+    # builds no genus-g lattice and no discriminant group, at any g
+    from nlk3 import lattice, orbits
+
+    genera = [3, 4, 5, 6, 7, 13, 22, 100, 997, 10**6, 10**12]
+    want = [nl_component_count(g, locus) for g in genera for locus in LOCI]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("lattice or discriminant group built")
+
+    monkeypatch.setattr(orbits, "build_standard", no_build)
+    monkeypatch.setattr(orbits, "discriminant_group", no_build)
+    monkeypatch.setattr(lattice.DiscriminantGroup, "__init__", no_build)
+    assert [nl_component_count(g, locus) for g in genera for locus in LOCI] == want
+
+
+def test_orbits_reads_no_private_name_of_lattice():
+    # orbits reads lattice through its public names only
     from nlk3 import lattice, orbits
 
     grp = discriminant_group(build_standard("LambdaA1", g=6))
@@ -721,4 +746,4 @@ def test_orbits_reads_one_private_name_of_lattice():
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and node.module == "lattice":
             read.update(a.name for a in node.names)
-    assert read & private == {"_class_of"}
+    assert read & private == set()

@@ -3,14 +3,17 @@
     python3 tools/ab.py --parent HEAD~1 --change HEAD --pairs 5 --seconds 30 \
         --out BENCH_<label>.json --what "<one line>" --claimed "reproduce wall_s"
 
-Each side is a `git archive` copy of its revision (src/, perfbench/,
-BENCHMARK.json, pyproject.toml) in its own directory under --workdir.  For
-every workload in BENCHMARK.json and seeds 1..--pairs, the two sides run
-`perfbench/run.py --trace 0` back to back, the parent first on odd seeds and
-the change first on even ones, so slow drift of the machine falls on both
-sides alike.  With --traced-seconds > 0 each side also makes one --trace 1
-run on seed 1 per workload.  To measure an uncommitted tree, pass
-`--change "$(git stash create)"`.
+Each side is two `git archive` copies of its revision (src/, perfbench/,
+BENCHMARK.json, pyproject.toml), in --workdir/<side>/a and
+--workdir/<side>/abcd.  For every workload in BENCHMARK.json and seeds
+1..--pairs, the two sides run `perfbench/run.py --trace 0` back to back, the
+parent first on odd seeds and the change first on even ones, so slow drift
+of the machine falls on both sides alike.  Odd seeds run from the abcd
+copies and even seeds from the a copies: a run's peak RSS moves with the
+length of its checkout's path, and this way both sides of a pair share one
+length and each length runs half of the pairs.  With --traced-seconds > 0
+each side also makes one --trace 1 run on seed 1 per workload.  To measure
+an uncommitted tree, pass `--change "$(git stash create)"`.
 
 The output has the shape of the committed BENCH_*.json files: per workload
 and side, min/q1/median/q3/max (inclusive quartiles), n, unit and the runs of
@@ -33,6 +36,14 @@ import tempfile
 
 ARCHIVED = ("src", "perfbench", "BENCHMARK.json", "pyproject.toml")
 SIDES = ("parent", "change")
+# the copies of each side, by seed parity; "parent" and "change" have one
+# length, so the two sides of a seed run from paths of one length
+COPIES = ("a", "abcd")
+
+
+def copy_dir(work, side, seed):
+    """The copy of a side that runs a seed."""
+    return os.path.join(work, side, COPIES[seed % 2])
 
 
 def summarize(runs, unit):
@@ -93,9 +104,11 @@ def main(argv=None):
 
     repo = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True, check=True).stdout.strip()
     work = args.workdir or tempfile.mkdtemp(prefix="nlk3-ab-")
-    copies = {side: os.path.join(work, side) for side in SIDES}
-    shas = {side: archive(repo, getattr(args, side), copies[side]) for side in SIDES}
-    with open(os.path.join(copies["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+    shas = {}
+    for side in SIDES:
+        for name in COPIES:
+            shas[side] = archive(repo, getattr(args, side), os.path.join(work, side, name))
+    with open(os.path.join(copy_dir(work, "change", 1), "BENCHMARK.json"), encoding="utf-8") as fh:
         definition = json.load(fh)
     metrics = {m["name"]: (m["unit"], m["better"]) for m in definition["end_to_end"]}
     workloads = args.workload or [w["name"] for w in definition["workloads"]]
@@ -107,9 +120,9 @@ def main(argv=None):
         "change": shas["change"],
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0"
         + (f" (per-layer: --seed 1 --seconds {args.traced_seconds:g} --trace 1)" if args.traced_seconds else ""),
-        "settings": f"each side run from its own git archive copy ({', '.join(ARCHIVED)}); alternating pairs, odd seeds "
-        f"parent first, even seeds change first; Python {platform.python_version()}, {os.cpu_count()} CPUs; "
-        "no CPU pinning or cache drops",
+        "settings": f"each side run from two git archive copies ({', '.join(ARCHIVED)}), {COPIES[1]} for odd seeds and "
+        f"{COPIES[0]} for even ones; alternating pairs, odd seeds parent first, even seeds change first; "
+        f"Python {platform.python_version()}, {os.cpu_count()} CPUs; no CPU pinning or cache drops",
         "claimed": args.claimed,
         "workloads": {},
     }
@@ -118,7 +131,7 @@ def main(argv=None):
         status = {side: {"failed": [], "correct": []} for side in SIDES}
         for seed in seeds:
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                line = bench(copies[side], workload, seed, args.seconds, 0)
+                line = bench(copy_dir(work, side, seed), workload, seed, args.seconds, 0)
                 for name in metrics:
                     runs[side][name].append(line["metrics"][name]["value"])
                 status[side]["failed"].append(line["failed"])
@@ -131,7 +144,7 @@ def main(argv=None):
     if args.traced_seconds:
         result["traced"] = {}
         for workload in workloads:
-            lines = {side: bench(copies[side], workload, 1, args.traced_seconds, 1) for side in SIDES}
+            lines = {side: bench(copy_dir(work, side, 1), workload, 1, args.traced_seconds, 1) for side in SIDES}
             result["traced"][workload] = {side: {k: v["value"] for k, v in lines[side]["metrics"].items()} for side in SIDES}
             result["traced"][workload]["correct"] = {side: lines[side]["correct"] for side in SIDES}
     with open(args.out, "w", encoding="utf-8") as fh:
