@@ -48,7 +48,13 @@ def test_compare_leaves_the_change_of_a_zero_median_undefined():
 # ab.compare: all of it, only the per-side stats (its pairwise keys have
 # another layout), or nothing, since they took exclusive quartiles
 _ROOT = Path(__file__).resolve().parents[1]
-_FULL = ("BENCH_integer_loops.json", "BENCH_named_classes.json", "BENCH_one_count_route.json", "BENCH_residue_labels.json")
+_FULL = (
+    "BENCH_count_table.json",
+    "BENCH_integer_loops.json",
+    "BENCH_named_classes.json",
+    "BENCH_one_count_route.json",
+    "BENCH_residue_labels.json",
+)
 _PER_SIDE = ("BENCH_record_base.json",)
 _EXEMPT = ("BENCH_sparse_gram.json", "BENCH_summand_groups.json", "BENCH_validate_once.json")
 _STATS = ("min", "q1", "median", "q3", "max", "n")
