@@ -520,55 +520,25 @@ def _cmd_verify(args, parser):
 # parser assembly
 
 
-# parse_args leaves a parser unchanged, so one tree serves every call
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nlk3",
-        description="Exact lattice, divisor-count and modular-form computations for K3 moduli.",
-    )
-    parser.add_argument("--format", choices=("json", "tsv"), default="json", help="output format")
-    # accepted before or after the subcommand; SUPPRESS keeps the leaf parser
-    # from clobbering a value given up front
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "tsv"), default=argparse.SUPPRESS, help="output format")
+def _lattice_branch(sub, help, leaf):
     # a lattice by file or by name
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--file", help="lattice text file, '-' for standard input")
     source.add_argument("--standard", choices=lattice.STANDARD_NAMES, help="shipped lattice by name")
     source.add_argument("--g", type=int, help=f"genus parameter for {'/'.join(lattice.PERIOD_LATTICES)}")
-    # the data tables behind the two weight-10 forms
-    exponents = argparse.ArgumentParser(add_help=False)
-    exponents.add_argument("--exponents", help="exponent table file")
-    eisenstein = argparse.ArgumentParser(add_help=False)
-    eisenstein.add_argument("--e4", help="weight-4 coefficient table file")
-    eisenstein.add_argument("--e6", help="weight-6 coefficient table file")
-    # a key (g, d, n) and a fitted form a * E4E6 + b * chi10
-    key = argparse.ArgumentParser(add_help=False)
-    for flag in ("--g", "--d", "--n"):
-        key.add_argument(flag, type=int, required=True)
-    form = argparse.ArgumentParser(add_help=False)
-    for flag in ("--a", "--b"):
-        form.add_argument(flag, type=_parse_rational, required=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def group(name, help):
-        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
-
-    def leaf(parent, name, help, handler, *parents):
-        # each leaf is registered here once, and its handler gets the leaf's
-        # own parser, so a usage error it raises prints the leaf's usage
-        p = parent.add_parser(name, help=help, parents=[common, *parents])
-        p.set_defaults(handler=handler, leaf=p)
-        return p
-
-    lat = group("lattice", "lattice computations")
+    lat = sub.add_parser("lattice", help=help).add_subparsers(dest="subcommand", required=True)
     leaf(lat, "disc", "discriminant group and generator q-values", _cmd_lattice_disc, source)
     p = leaf(lat, "complement", "saturated orthogonal complement", _cmd_lattice_complement, source)
     p.add_argument("--vector", action="append", type=_parse_vector, help="coordinates, repeatable")
     leaf(lat, "snf", "Smith normal form of the Gram matrix", _cmd_lattice_snf, source)
 
-    nl = group("nl", "special-divisor bookkeeping")
+
+def _nl_branch(sub, help, leaf):
+    # a key (g, d, n)
+    key = argparse.ArgumentParser(add_help=False)
+    for flag in ("--g", "--d", "--n"):
+        key.add_argument(flag, type=int, required=True)
+    nl = sub.add_parser("nl", help=help).add_subparsers(dest="subcommand", required=True)
     p = leaf(nl, "components", "irreducible component count of a locus", _cmd_nl_components)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--locus", type=_parse_locus, required=True)
@@ -576,7 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(nl, "triangular", "decomposition into irreducible keys", _cmd_nl_triangular, key)
     leaf(nl, "vector-data", "half-norm, class and multiplicity of a key", _cmd_nl_vector_data, key)
 
-    enum = group("enum", "singular-member counts of families")
+
+def _enum_branch(sub, help, leaf):
+    enum = sub.add_parser("enum", help=help).add_subparsers(dest="subcommand", required=True)
     p = leaf(enum, "net", "cuspidal/binodal counts of a net of conics", _cmd_enum_net)
     p.add_argument("--alpha2", type=int, required=True)
     p.add_argument("--alphac1", type=int, required=True)
@@ -586,7 +558,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = leaf(enum, "unigonal", "counts of the unigonal family", _cmd_enum_unigonal)
     p.add_argument("--table", help="pushforward table file")
 
-    sie = group("siegel", "genus-2 modular form arithmetic")
+
+def _siegel_branch(sub, help, leaf):
+    # the data tables behind the two weight-10 forms
+    exponents = argparse.ArgumentParser(add_help=False)
+    exponents.add_argument("--exponents", help="exponent table file")
+    eisenstein = argparse.ArgumentParser(add_help=False)
+    eisenstein.add_argument("--e4", help="weight-4 coefficient table file")
+    eisenstein.add_argument("--e6", help="weight-6 coefficient table file")
+    # a fitted form a * E4E6 + b * chi10
+    form = argparse.ArgumentParser(add_help=False)
+    for flag in ("--a", "--b"):
+        form.add_argument(flag, type=_parse_rational, required=True)
+    sie = sub.add_parser("siegel", help=help).add_subparsers(dest="subcommand", required=True)
     p = leaf(sie, "chi10", "cusp form coefficient from the product expansion", _cmd_siegel_chi10, exponents)
     p.add_argument("--trunc-k", type=int, default=2)
     p.add_argument("--trunc-m", type=int, default=2)
@@ -604,15 +588,61 @@ def _build_parser() -> argparse.ArgumentParser:
         _cmd_siegel_independence, exponents, eisenstein, form,
     )
 
-    p = leaf(sub, "verify", "run the full reproduction suite", _cmd_verify)
+
+def _verify_branch(sub, help, leaf):
+    p = leaf(sub, "verify", help, _cmd_verify)
     p.add_argument("--all", action="store_true", help="run every criterion (the default)")
     p.add_argument("--criterion", type=int, help="run a single criterion by number")
 
+
+# each top-level command: its help line, and the function that adds its
+# parser with its leaves to the root's subparsers
+_COMMANDS = {
+    "lattice": ("lattice computations", _lattice_branch),
+    "nl": ("special-divisor bookkeeping", _nl_branch),
+    "enum": ("singular-member counts of families", _enum_branch),
+    "siegel": ("genus-2 modular form arithmetic", _siegel_branch),
+    "verify": ("run the full reproduction suite", _verify_branch),
+}
+
+
+# the tree with leaves for one command (None: for none); parse_args leaves a
+# parser unchanged, so each command's tree serves every call of it
+@functools.lru_cache(maxsize=len(_COMMANDS) + 1)
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nlk3",
+        description="Exact lattice, divisor-count and modular-form computations for K3 moduli.",
+    )
+    parser.add_argument("--format", choices=("json", "tsv"), default="json", help="output format")
+    # accepted before or after the subcommand; SUPPRESS keeps the leaf parser
+    # from clobbering a value given up front
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "tsv"), default=argparse.SUPPRESS, help="output format")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def leaf(parent, name, help, handler, *parents):
+        # each leaf is registered here once, and its handler gets the leaf's
+        # own parser, so a usage error it raises prints the leaf's usage
+        p = parent.add_parser(name, help=help, parents=[common, *parents])
+        p.set_defaults(handler=handler, leaf=p)
+        return p
+
+    # only the named command gets its leaves; the others' parsers just name
+    # them in the root's help and choices
+    for name, (help, branch) in _COMMANDS.items():
+        if name == command:
+            branch(sub, help, leaf)
+        else:
+            sub.add_parser(name, help=help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # the command is the first token that names one: before the command the
+    # root takes only -h and --format {json,tsv}, so an earlier such token
+    # is a --format value that the root rejects before any group is read
+    parser = _build_parser(next(filter(_COMMANDS.__contains__, sys.argv[1:] if argv is None else argv), None))
     try:
         # the leaf, not the root, reports a flag it does not take
         args, extra = parser.parse_known_args(argv)

@@ -51,6 +51,7 @@ _ROOT = Path(__file__).resolve().parents[1]
 _FULL = (
     "BENCH_count_table.json",
     "BENCH_integer_loops.json",
+    "BENCH_lazy_parser.json",
     "BENCH_named_classes.json",
     "BENCH_one_count_route.json",
     "BENCH_residue_labels.json",
