@@ -199,7 +199,7 @@ def _cmd_lattice_snf(args, parser):
 
 def _cmd_nl_components(args, parser):
     count, components = orbits.nl_component_count(args.g, args.locus, with_witnesses=args.witnesses)
-    lat = orbits.locus_lattice(args.g, args.locus)
+    lat = orbits.locus_lattice(args.g, args.locus) if args.witnesses else None
     rows = []
     for comp in components:
         cand = comp.candidate

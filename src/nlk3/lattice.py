@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import floordiv, itemgetter, mul
+from operator import floordiv, itemgetter, mod, mul
 
 from ._inputs import Record, exact_int, exact_ints, text_rows
 
@@ -396,8 +396,10 @@ class DiscElement(Record):
     _fields = ("factors", "residues")
 
     def __init__(self, factors, residues):
-        factors = exact_ints(factors)
-        vars(self).update(factors=factors, residues=tuple(a % d for a, d in zip(exact_ints(residues), factors, strict=True)))
+        factors, residues = exact_ints(factors), exact_ints(residues)
+        if len(residues) != len(factors):
+            raise ValueError(f"{len(residues)} residues for {len(factors)} invariant factors")
+        vars(self).update(factors=factors, residues=tuple(map(mod, residues, factors)))
 
     @classmethod
     def _reduced(cls, factors, residues):

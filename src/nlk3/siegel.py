@@ -31,10 +31,7 @@ class GenusTwoSeries(Record):
     _fields = ("coeffs", "trunc_k", "trunc_m", "trunc_l")
 
     def __init__(self, coeffs, trunc_k: int, trunc_m: int, trunc_l: int | None = None):
-        trunc_k, trunc_m = exact_int(trunc_k), exact_int(trunc_m)
-        trunc_l = default_trunc_l(trunc_k, trunc_m) if trunc_l is None else exact_int(trunc_l)
-        if min(trunc_k, trunc_m, trunc_l) < 0:
-            raise ValueError("truncation bounds must be non-negative")
+        trunc_k, trunc_m, trunc_l = _window(trunc_k, trunc_m, trunc_l)
         stored = {}
         for key, value in coeffs.items():
             k, l, m = exact_ints(key)
@@ -50,8 +47,8 @@ class GenusTwoSeries(Record):
 
     @classmethod
     def _exact(cls, coeffs: dict, trunc_k: int, trunc_m: int, trunc_l: int) -> GenusTwoSeries:
-        """The series of a dict of nonzero Fractions at int indices inside an
-        int window, as series_mul builds it, without checking them again."""
+        """The series of a new dict of nonzero Fractions at int indices inside
+        an int window, as the series operations build it, unchecked."""
         x = object.__new__(cls)
         vars(x).update(coeffs=coeffs, trunc_k=trunc_k, trunc_m=trunc_m, trunc_l=trunc_l)
         return x
@@ -65,18 +62,39 @@ class GenusTwoSeries(Record):
         return self.coeffs.get((k, l, m), Fraction(0))
 
 
+def _window(trunc_k, trunc_m, trunc_l=None) -> tuple[int, int, int]:
+    """The int bounds of a truncation window, trunc_l defaulting to
+    default_trunc_l; a negative bound raises ValueError."""
+    trunc_k, trunc_m = exact_int(trunc_k), exact_int(trunc_m)
+    trunc_l = default_trunc_l(trunc_k, trunc_m) if trunc_l is None else exact_int(trunc_l)
+    if min(trunc_k, trunc_m, trunc_l) < 0:
+        raise ValueError("truncation bounds must be non-negative")
+    return trunc_k, trunc_m, trunc_l
+
+
 def series_one(trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusTwoSeries:
     return GenusTwoSeries({(0, 0, 0): 1}, trunc_k, trunc_m, trunc_l)
 
 
 def _scaled(x: GenusTwoSeries, tk: int, tm: int) -> tuple[list, int]:
-    """(terms, d): x's terms inside the (k, m) window as (k, l, m, d*c) with
+    """(terms, d): x's terms inside the (k, m) window as ((k, l, m), d*c) with
     int d*c, for d the lcm of x's denominators (1 for an integral series)."""
     d = lcm(*(c.denominator for c in x.coeffs.values()))
-    terms = [
-        (k, l, m, c.numerator * (d // c.denominator)) for (k, l, m), c in x.coeffs.items() if k <= tk and m <= tm
-    ]
+    terms = [(key, c.numerator * (d // c.denominator)) for key, c in x.coeffs.items() if key[0] <= tk and key[2] <= tm]
     return terms, d
+
+
+def _convolve(xs, ys: list, tk: int, tm: int, tl: int) -> dict:
+    """The nonzero int sums of the products of int terms ((k, l, m), c) of xs
+    and ys at each index inside the window (tk, tm, |l| <= tl)."""
+    acc: dict = {}
+    for (k1, l1, m1), c1 in xs:
+        for (k2, l2, m2), c2 in ys:
+            k, l, m = k1 + k2, l1 + l2, m1 + m2
+            if k > tk or m > tm or abs(l) > tl:
+                continue
+            acc[(k, l, m)] = acc.get((k, l, m), 0) + c1 * c2
+    return {key: c for key, c in acc.items() if c}
 
 
 def series_mul(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
@@ -90,15 +108,8 @@ def series_mul(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
     tk, tm, tl = min(x.trunc_k, y.trunc_k), min(x.trunc_m, y.trunc_m), min(x.trunc_l, y.trunc_l)
     xs, dx = _scaled(x, tk, tm)
     ys, dy = _scaled(y, tk, tm)
-    acc: dict = {}
-    for k1, l1, m1, c1 in xs:
-        for k2, l2, m2, c2 in ys:
-            k, l, m = k1 + k2, l1 + l2, m1 + m2
-            if k > tk or m > tm or abs(l) > tl:
-                continue
-            acc[(k, l, m)] = acc.get((k, l, m), 0) + c1 * c2
     d = dx * dy
-    return GenusTwoSeries._exact({key: Fraction(c, d) for key, c in acc.items() if c}, tk, tm, tl)
+    return GenusTwoSeries._exact({key: Fraction(c, d) for key, c in _convolve(xs, ys, tk, tm, tl).items()}, tk, tm, tl)
 
 
 def series_truncate(x: GenusTwoSeries, trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusTwoSeries:
@@ -107,12 +118,13 @@ def series_truncate(x: GenusTwoSeries, trunc_k: int, trunc_m: int, trunc_l: int 
         trunc_l = min(x.trunc_l, default_trunc_l(trunc_k, trunc_m))
     if trunc_k > x.trunc_k or trunc_m > x.trunc_m or trunc_l > x.trunc_l:
         raise ValueError("cannot extend truncation bounds")
+    trunc_k, trunc_m, trunc_l = _window(trunc_k, trunc_m, trunc_l)
     kept = {
         (k, l, m): v
         for (k, l, m), v in x.coeffs.items()
         if k <= trunc_k and m <= trunc_m and abs(l) <= trunc_l
     }
-    return GenusTwoSeries(kept, trunc_k, trunc_m, trunc_l)
+    return GenusTwoSeries._exact(kept, trunc_k, trunc_m, trunc_l)
 
 
 def binomial_pow(monomial, c: int, trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusTwoSeries:
@@ -123,26 +135,26 @@ def binomial_pow(monomial, c: int, trunc_k: int, trunc_m: int, trunc_l: int | No
     """
     r, s, t = exact_ints(monomial)
     c = exact_int(c)
-    trunc_k, trunc_m = exact_int(trunc_k), exact_int(trunc_m)
-    trunc_l = default_trunc_l(trunc_k, trunc_m) if trunc_l is None else exact_int(trunc_l)
+    trunc_k, trunc_m, trunc_l = _window(trunc_k, trunc_m, trunc_l)
     if r < 0 or t < 0:
         raise ValueError("monomial exponents of qt and q must be non-negative")
     if (r, s, t) == (0, 0, 0):
         raise ValueError("monomial must be nonzero")
+    terms = _binomial_terms(r, s, t, c, trunc_k, trunc_m, trunc_l)
+    return GenusTwoSeries._exact({key: Fraction(v) for key, v in terms}, trunc_k, trunc_m, trunc_l)
+
+
+def _binomial_terms(r: int, s: int, t: int, c: int, tk: int, tm: int, tl: int) -> list:
+    """binomial_pow's int terms ((k, l, m), coefficient) for a checked monomial,
+    exponent and window: each coefficient nonzero, each index in the window."""
     # u^j lies in the window while j * |e| <= its bound for each nonzero
     # exponent e; a binomial with c >= 0 also ends at j = c
     bounds = [c] if c >= 0 else []
-    for e, bound in ((r, trunc_k), (abs(s), trunc_l), (t, trunc_m)):
+    for e, bound in ((r, tk), (abs(s), tl), (t, tm)):
         if e:
             bounds.append(bound // e)
-    entries = {}
-    for j in range(min(bounds) + 1):
-        if c >= 0:
-            coeff = (-1) ** j * comb(c, j)
-        else:
-            coeff = comb(-c + j - 1, j)
-        entries[(j * r, j * s, j * t)] = coeff
-    return GenusTwoSeries(entries, trunc_k, trunc_m, trunc_l)
+    js = range(min(bounds) + 1)
+    return [((j * r, j * s, j * t), (-1) ** j * comb(c, j) if c >= 0 else comb(-c + j - 1, j)) for j in js]
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +208,11 @@ def default_chi10_exponents() -> HalfIntegralTable:
 
 
 # the largest chi10 product, factor count x window terms, that chi10
-# multiplies out.  10^6 is about 0.2 s of series products on a 2-vCPU VM with
-# Python 3.11: the (1, 40) window needs 7.9e5 and takes 0.15 s, (1, 60) needs
-# 2.6e6 and would take 0.5 s.  The windows of verify and the tests need at
-# most 2976 (1, 6), and none the shipped table supports with trunc_k >= 2
-# needs more than 2508.
+# multiplies out.  10^6 is about 0.1 s of int term products on a 2-vCPU VM
+# with Python 3.11: the (1, 40) window needs 7.9e5 and takes 0.06-0.11 s,
+# (1, 60) needs 2.6e6 and would take 0.18 s.  verify needs at most 720 (2, 2),
+# the tests 100920 (1, 20), and no window the shipped table supports with
+# trunc_k >= 2 needs more than 2508.
 CHI10_MAX_WORK = 10**6
 
 
@@ -249,14 +261,13 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
             f"({count} factors x {window} window terms), above the limit {CHI10_MAX_WORK}"
         )
     factors = [f for r in range(trunc_k) for t in range(trunc_m) for f in _chi10_factors(table, r, t)]
-    prod = series_one(trunc_k - 1, trunc_m - 1, inner_l)
+    # every factor is integral, so the product runs on int terms
+    tk, tm = trunc_k - 1, trunc_m - 1
+    prod = {(0, 0, 0): 1}
     for monomial, exponent in factors:
-        prod = series_mul(prod, binomial_pow(monomial, exponent, trunc_k - 1, trunc_m - 1, inner_l))
-    shifted = {}
-    for (k, l, m), value in prod.coeffs.items():
-        if abs(l + 1) <= out_l:
-            shifted[(k + 1, l + 1, m + 1)] = value
-    return GenusTwoSeries(shifted, trunc_k, trunc_m, out_l)
+        prod = _convolve(prod.items(), _binomial_terms(*monomial, exponent, tk, tm, inner_l), tk, tm, inner_l)
+    shifted = {(k + 1, l + 1, m + 1): Fraction(c) for (k, l, m), c in prod.items() if abs(l + 1) <= out_l}
+    return GenusTwoSeries._exact(shifted, trunc_k, trunc_m, out_l)
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,18 @@ small = st.fractions(max_denominator=6, min_value=-5, max_value=5)
 classes = st.builds(P2Class, small, small, small)
 
 
-@given(classes, classes, classes)
-def test_p2class_ring_laws(a, b, c):
+@given(classes, classes, classes, st.integers(-6, 6))
+def test_p2class_ring_laws(a, b, c, n):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    # an int factor scales the coefficients, as the product with its class
+    assert n * a == a * n == P2Class(n) * a
+    # the arithmetic builds its results unchecked: each must be the class
+    # the checked constructor gives
+    for x in (a + b, a - b, -a, a * b, n * a, a * n, a + n, n - a, a * Fraction(n, 7), a * True):
+        y = P2Class(x.c0, x.c1, x.c2)
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y), x
 
 
 # ---------------------------------------------------------------------------

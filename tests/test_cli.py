@@ -307,6 +307,22 @@ def test_components_with_witnesses(capsys):
     assert comps[1]["div"] == 2
 
 
+def test_components_build_the_lattice_only_for_witnesses(monkeypatch, capsys):
+    # only --witnesses reads the locus lattice, to describe each witness
+    built = []
+    locus_lattice = cli.orbits.locus_lattice
+
+    def recorded(g, locus):
+        built.append((g, locus))
+        return locus_lattice(g, locus)
+
+    monkeypatch.setattr(cli.orbits, "locus_lattice", recorded)
+    assert run_cli(capsys, "nl", "components", "--g", "6", "--locus", "a2")[0] == 0
+    assert built == []
+    assert run_cli(capsys, "nl", "components", "--g", "6", "--locus", "a2", "--witnesses")[0] == 0
+    assert built == [(6, "a2")]
+
+
 def test_components_locus_alias_answers_as_typed(capsys):
     # an alias passes the --locus check, and the inputs echo it as typed
     code, out, _ = run_cli(capsys, "nl", "components", "--g", "6", "--locus", "node")

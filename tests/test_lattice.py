@@ -911,6 +911,22 @@ def test_element_arithmetic():
         x + discriminant_group(build_standard("E7neg")).element((1,))
 
 
+def test_disc_element_checks_and_reduces_its_residues():
+    with pytest.raises(ValueError, match="^1 residues for 2 invariant factors$"):
+        DiscElement((2, 10), (1,))
+    with pytest.raises(ValueError, match="^3 residues for 2 invariant factors$"):
+        DiscElement((2, 10), (1, 2, 3))
+    with pytest.raises(ValueError, match=r"^non-integral entry 2\.5$"):
+        DiscElement((2, 10), (1, 2.5))
+    with pytest.raises(ValueError, match=r"^non-integral entry 2\.5$"):
+        DiscElement((2.5, 10), (1, 2))
+    cases = {(-3, -13): (1, 7), (True, False): (1, 0), (-1, True): (1, 1), (4.0, Fraction(24, 2)): (0, 2)}
+    for residues, reduced in cases.items():
+        x = DiscElement((2, 10), residues)
+        assert x.residues == reduced and all(type(a) is int for a in x.residues), residues
+    assert DiscElement((), ()).residues == ()
+
+
 @pytest.mark.parametrize(
     "name,g", [("E7neg", None), ("K3", None), ("LambdaG", 7), ("LambdaG", 50), ("LambdaA1", 6), ("LambdaA1", 10**6)]
 )

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +38,14 @@ from nlk3.siegel import (
 
 # ---------------------------------------------------------------------------
 # series plumbing
+
+
+def _assert_checked(x):
+    """x, built without the constructor's checks, is the series that
+    GenusTwoSeries(...) gives for its coefficients and bounds."""
+    y = GenusTwoSeries(x.coeffs, x.trunc_k, x.trunc_m, x.trunc_l)
+    assert x == y and repr(x) == repr(y), x
+    return x
 
 
 def test_series_drops_zero_coefficients():
@@ -239,7 +247,7 @@ def test_binomial_pow_keeps_exactly_the_terms_in_the_window():
                     continue
                 for c in (-7, -1, 0, 1, 2, 5):
                     for window in ((0, 0, 0), (2, 1, 3), (4, 4, 10), (3, 5, 2)):
-                        got = binomial_pow((r, s, t), c, *window).coeffs
+                        got = _assert_checked(binomial_pow((r, s, t), c, *window)).coeffs
                         assert got == reference_binomial_pow((r, s, t), c, *window), ((r, s, t), c, window)
                         cases += 1
     assert cases == 62 * 6 * 4
@@ -363,21 +371,51 @@ def test_chi10_exhausts_shipped_table():
 
 def test_chi10_cost_guard_fails_before_any_product(monkeypatch):
     def no_product(*args):
-        raise AssertionError("series_mul called")
+        raise AssertionError("_convolve called")
 
-    monkeypatch.setattr(siegel, "series_mul", no_product)
+    monkeypatch.setattr(siegel, "_convolve", no_product)
     # (1, 60): 178 factors x (1 * 60 * 247) window terms
     with pytest.raises(ValueError, match=r"needs about 2637960 term products \(178 factors x 14820 window terms\)"):
         chi10(trunc_k=1, trunc_m=60)
+    # a window the guard admits does reach the patched product
+    with pytest.raises(AssertionError, match="^_convolve called$"):
+        chi10(trunc_k=1, trunc_m=6)
 
 
 def test_chi10_cost_guard_admits_its_limit(monkeypatch):
-    # the (1, 6) window, the largest the tests use, is 16 factors x 186 terms
+    # the (1, 6) window is 16 factors x 186 terms
     monkeypatch.setattr(siegel, "CHI10_MAX_WORK", 2976)
     assert chi10(trunc_k=1, trunc_m=6).coefficient(1, 1, 1) == 1
     monkeypatch.setattr(siegel, "CHI10_MAX_WORK", 2975)
     with pytest.raises(ValueError, match="above the limit 2975"):
         chi10(trunc_k=1, trunc_m=6)
+
+
+def _chi10_by_series_mul(trunc_k, trunc_m):
+    """chi10 as a fold of the public series_mul over binomial_pow factors,
+    on the inner window chi10 multiplies in, then shifted by qt p q."""
+    table = default_chi10_exponents()
+    out_l = default_trunc_l(trunc_k, trunc_m)
+    window = (trunc_k - 1, trunc_m - 1, out_l + 1)
+    prod = series_one(*window)
+    for r in range(trunc_k):
+        for t in range(trunc_m):
+            smax = isqrt(4 * r * t + 1)
+            for s in range(-smax, 0 if r == t == 0 else smax + 1):
+                if e := table.c(4 * r * t - s * s):
+                    prod = series_mul(prod, binomial_pow((r, s, t), e, *window))
+    shifted = {(k + 1, l + 1, m + 1): c for (k, l, m), c in prod.coeffs.items() if abs(l + 1) <= out_l}
+    return GenusTwoSeries(shifted, trunc_k, trunc_m, out_l)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (1, 6), (1, 20)],
+    ids=lambda w: f"{w[0]}x{w[1]}",
+)
+def test_chi10_equals_a_fold_of_series_mul(window):
+    # chi10 multiplies int terms and builds its series unchecked
+    assert _assert_checked(chi10(trunc_k=window[0], trunc_m=window[1])) == _chi10_by_series_mul(*window)
 
 
 # the reference row k = 1 of the (1, 6) window reads only c(-1) and c(0)
@@ -615,6 +653,23 @@ def test_series_truncate_default_trunc_l():
     y = series_truncate(x, 1, 1)
     assert (y.trunc_k, y.trunc_m, y.trunc_l) == (1, 1, 4)
     assert y.coeffs == {(0, 0, 0): 1, (1, 4, 1): 2}
+
+
+def test_series_truncate_and_binomial_pow_check_their_windows():
+    # both build their series unchecked, after converting and checking the
+    # window as the constructor does
+    x = chi10(trunc_k=2, trunc_m=3)
+    for bounds in ((2, 3), (1, 2), (0, 0, 0), (2.0, Fraction(6, 2), 4)):
+        y = _assert_checked(series_truncate(x, *bounds))
+        assert all(type(b) is int for b in (y.trunc_k, y.trunc_m, y.trunc_l)), bounds
+    for call in (series_truncate, lambda x, *bounds: binomial_pow((1, 0, 0), 2, *bounds)):
+        with pytest.raises(ValueError, match="^truncation bounds must be non-negative$"):
+            call(x, -1, 2)
+        with pytest.raises(ValueError, match="^truncation bounds must be non-negative$"):
+            call(x, 1, 2, -1)
+        with pytest.raises(ValueError, match=r"^non-integral entry 1\.5$"):
+            call(x, 1.5, 2)
+    assert _assert_checked(binomial_pow((1, 0, 0), 2, 2.0, Fraction(4, 2))).trunc_l == default_trunc_l(2, 2)
 
 
 def test_binomial_pow_rejects_negative_qt_and_q_exponents():
