@@ -210,7 +210,7 @@ def default_chi10_exponents() -> HalfIntegralTable:
 # the largest chi10 product, factor count x window terms, that chi10
 # multiplies out.  10^6 is about 0.1 s of int term products on a 2-vCPU VM
 # with Python 3.11: the (1, 40) window needs 7.9e5 and takes 0.06-0.11 s,
-# (1, 60) needs 2.6e6 and would take 0.18 s.  verify needs at most 720 (2, 2),
+# (1, 60) needs 2.6e6 and would take 0.18-0.29 s.  verify needs at most 720 (2, 2),
 # the tests 100920 (1, 20), and no window the shipped table supports with
 # trunc_k >= 2 needs more than 2508.
 CHI10_MAX_WORK = 10**6

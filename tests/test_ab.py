@@ -50,6 +50,7 @@ def test_compare_leaves_the_change_of_a_zero_median_undefined():
 _ROOT = Path(__file__).resolve().parents[1]
 _FULL = (
     "BENCH_count_table.json",
+    "BENCH_exact_once.json",
     "BENCH_integer_loops.json",
     "BENCH_lazy_parser.json",
     "BENCH_named_classes.json",
