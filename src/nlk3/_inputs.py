@@ -30,6 +30,15 @@ class Record:
         get = attrgetter(*cls._fields)
         cls._values = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
 
+    @classmethod
+    def _trusted(cls, *values, **extra):
+        """The instance with these field values, in _fields order, and the
+        extra attributes, built without the constructor's checks: the caller
+        vouches that each value is the one the constructor would store."""
+        x = object.__new__(cls)
+        vars(x).update(dict(zip(cls._fields, values)), **extra)
+        return x
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -21,21 +21,14 @@ class P2Class(Record):
     def __init__(self, c0=0, c1=0, c2=0):
         vars(self).update(c0=Fraction(c0), c1=Fraction(c1), c2=Fraction(c2))
 
-    @classmethod
-    def _exact(cls, c0: Fraction, c1: Fraction, c2: Fraction) -> P2Class:
-        """The class of three Fractions just computed, not converted again."""
-        x = object.__new__(cls)
-        vars(x).update(c0=c0, c1=c1, c2=c2)
-        return x
-
     def __add__(self, other):
         other = _as_class(other)
-        return P2Class._exact(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        return P2Class._trusted(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return P2Class._exact(-self.c0, -self.c1, -self.c2)
+        return P2Class._trusted(-self.c0, -self.c1, -self.c2)
 
     def __sub__(self, other):
         return self + (-_as_class(other))
@@ -45,9 +38,9 @@ class P2Class(Record):
 
     def __mul__(self, other):
         if type(other) is int:
-            return P2Class._exact(self.c0 * other, self.c1 * other, self.c2 * other)
+            return P2Class._trusted(self.c0 * other, self.c1 * other, self.c2 * other)
         o = _as_class(other)
-        return P2Class._exact(
+        return P2Class._trusted(
             self.c0 * o.c0,
             self.c0 * o.c1 + self.c1 * o.c0,
             self.c0 * o.c2 + self.c1 * o.c1 + self.c2 * o.c0,

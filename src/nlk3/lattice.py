@@ -317,9 +317,8 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
         gram = ((-(2 * g - 2),) + gram[0][1:], *gram[1:])
     # the template's checks cover every entry but w's -(2g-2), an even int,
     # so the fields are set without running them again
-    lat = object.__new__(IntegralLattice)
-    vars(lat).update(gram=gram, labels=template.labels, _hash=hash((gram, template.labels)), _standard=(name, g))
-    return lat
+    labels = template.labels
+    return IntegralLattice._trusted(gram, labels, _hash=hash((gram, labels)), _standard=(name, g))
 
 
 @lru_cache(maxsize=len(_SUMMANDS))
@@ -401,30 +400,22 @@ class DiscElement(Record):
             raise ValueError(f"{len(residues)} residues for {len(factors)} invariant factors")
         vars(self).update(factors=factors, residues=tuple(map(mod, residues, factors)))
 
-    @classmethod
-    def _reduced(cls, factors, residues):
-        """The element of int factors the library has checked and a tuple of
-        int residues already reduced mod them, built without checking again."""
-        x = object.__new__(cls)
-        vars(x).update(factors=factors, residues=residues)
-        return x
-
     def __add__(self, other):
         if self.factors != other.factors:
             raise ValueError("elements of different groups")
-        return DiscElement._reduced(
+        return DiscElement._trusted(
             self.factors, tuple((a + b) % d for a, b, d in zip(self.residues, other.residues, self.factors))
         )
 
     def __neg__(self):
-        return DiscElement._reduced(self.factors, tuple(-a % d for a, d in zip(self.residues, self.factors)))
+        return DiscElement._trusted(self.factors, tuple(-a % d for a, d in zip(self.residues, self.factors)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __rmul__(self, c: int):
         c = exact_int(c)
-        return DiscElement._reduced(self.factors, tuple(c * a % d for a, d in zip(self.residues, self.factors)))
+        return DiscElement._trusted(self.factors, tuple(c * a % d for a, d in zip(self.residues, self.factors)))
 
     def order(self) -> int:
         return _order(self.factors, self.residues)
@@ -537,7 +528,7 @@ class DiscriminantGroup:
         n = 0 gives the whole group.
         """
         for residues in self._torsion(n):
-            yield DiscElement._reduced(self.factors, residues)
+            yield DiscElement._trusted(self.factors, residues)
 
     def eichler_classes(self, norm: int) -> tuple[tuple[int, DiscElement], ...]:
         """(d, x) for each class x of the norm-torsion whose order d has
@@ -553,7 +544,7 @@ class DiscriminantGroup:
         for a in self._torsion(norm):
             d = _order(self.factors, a)
             if self._q_is(a, norm, d * d):
-                out.append((d, DiscElement._reduced(self.factors, a)))
+                out.append((d, DiscElement._trusted(self.factors, a)))
         return tuple(out)
 
     def element_of(self, dual_vector) -> DiscElement:
@@ -570,7 +561,7 @@ class DiscriminantGroup:
     def _class_of(self, gv, div=1) -> DiscElement:
         """Class of the dual vector y = v/div, given the integer vector G.v
         (div divides each of its entries)."""
-        return DiscElement._reduced(
+        return DiscElement._trusted(
             self.factors,
             tuple(sum(c * gv[j] for j, c in row) // div % d for row, d in zip(self._supports, self.factors)),
         )

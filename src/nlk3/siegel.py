@@ -45,14 +45,6 @@ class GenusTwoSeries(Record):
             stored[(k, l, m)] = value
         vars(self).update(coeffs=stored, trunc_k=trunc_k, trunc_m=trunc_m, trunc_l=trunc_l)
 
-    @classmethod
-    def _exact(cls, coeffs: dict, trunc_k: int, trunc_m: int, trunc_l: int) -> GenusTwoSeries:
-        """The series of a new dict of nonzero Fractions at int indices inside
-        an int window, as the series operations build it, unchecked."""
-        x = object.__new__(cls)
-        vars(x).update(coeffs=coeffs, trunc_k=trunc_k, trunc_m=trunc_m, trunc_l=trunc_l)
-        return x
-
     def coefficient(self, k: int, l: int, m: int) -> Fraction:
         """Exact coefficient; raises outside the truncation window rather than
         guessing zero."""
@@ -109,7 +101,7 @@ def series_mul(x: GenusTwoSeries, y: GenusTwoSeries) -> GenusTwoSeries:
     xs, dx = _scaled(x, tk, tm)
     ys, dy = _scaled(y, tk, tm)
     d = dx * dy
-    return GenusTwoSeries._exact({key: Fraction(c, d) for key, c in _convolve(xs, ys, tk, tm, tl).items()}, tk, tm, tl)
+    return GenusTwoSeries._trusted({key: Fraction(c, d) for key, c in _convolve(xs, ys, tk, tm, tl).items()}, tk, tm, tl)
 
 
 def series_truncate(x: GenusTwoSeries, trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusTwoSeries:
@@ -124,7 +116,7 @@ def series_truncate(x: GenusTwoSeries, trunc_k: int, trunc_m: int, trunc_l: int 
         for (k, l, m), v in x.coeffs.items()
         if k <= trunc_k and m <= trunc_m and abs(l) <= trunc_l
     }
-    return GenusTwoSeries._exact(kept, trunc_k, trunc_m, trunc_l)
+    return GenusTwoSeries._trusted(kept, trunc_k, trunc_m, trunc_l)
 
 
 def binomial_pow(monomial, c: int, trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusTwoSeries:
@@ -141,7 +133,7 @@ def binomial_pow(monomial, c: int, trunc_k: int, trunc_m: int, trunc_l: int | No
     if (r, s, t) == (0, 0, 0):
         raise ValueError("monomial must be nonzero")
     terms = _binomial_terms(r, s, t, c, trunc_k, trunc_m, trunc_l)
-    return GenusTwoSeries._exact({key: Fraction(v) for key, v in terms}, trunc_k, trunc_m, trunc_l)
+    return GenusTwoSeries._trusted({key: Fraction(v) for key, v in terms}, trunc_k, trunc_m, trunc_l)
 
 
 def _binomial_terms(r: int, s: int, t: int, c: int, tk: int, tm: int, tl: int) -> list:
@@ -267,7 +259,7 @@ def chi10(table: HalfIntegralTable | None = None, trunc_k: int = 2, trunc_m: int
     for monomial, exponent in factors:
         prod = _convolve(prod.items(), _binomial_terms(*monomial, exponent, tk, tm, inner_l), tk, tm, inner_l)
     shifted = {(k + 1, l + 1, m + 1): Fraction(c) for (k, l, m), c in prod.items() if abs(l + 1) <= out_l}
-    return GenusTwoSeries._exact(shifted, trunc_k, trunc_m, out_l)
+    return GenusTwoSeries._trusted(shifted, trunc_k, trunc_m, out_l)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ def test_p2class_ring_laws(a, b, c, n):
     assert a * (b + c) == a * b + a * c
     # an int factor scales the coefficients, as the product with its class
     assert n * a == a * n == P2Class(n) * a
-    # the arithmetic builds its results unchecked: each must be the class
-    # the checked constructor gives
+    # the arithmetic builds its results through Record._trusted, unchecked:
+    # each must be the class the checked constructor gives
     for x in (a + b, a - b, -a, a * b, n * a, a * n, a + n, n - a, a * Fraction(n, 7), a * True):
         y = P2Class(x.c0, x.c1, x.c2)
         assert x == y and hash(x) == hash(y) and repr(x) == repr(y), x

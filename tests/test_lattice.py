@@ -931,9 +931,9 @@ def test_disc_element_checks_and_reduces_its_residues():
     "name,g", [("E7neg", None), ("K3", None), ("LambdaG", 7), ("LambdaG", 50), ("LambdaA1", 6), ("LambdaA1", 10**6)]
 )
 def test_internal_elements_equal_the_checked_constructor(name, g):
-    # elements(n), _class_of, +, - and c*x build elements without the
-    # constructor's checks; each must be the element DiscElement(...) gives
-    # for the unreduced residues
+    # elements(n), _class_of, +, - and c*x build elements through
+    # Record._trusted, without the constructor's checks; each must be the
+    # element DiscElement(...) gives for the unreduced residues
     l = build_standard(name, g=g)
     grp = discriminant_group(l)
     f = grp.factors

@@ -747,3 +747,5 @@ def test_orbits_reads_no_private_name_of_lattice():
         elif isinstance(node, ast.ImportFrom) and node.module == "lattice":
             read.update(a.name for a in node.names)
     assert read & private == set()
+    # nor does it build values past their checks
+    assert "_trusted" not in read

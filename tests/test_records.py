@@ -1,6 +1,8 @@
-"""Value types: frozen records with ==, hash and repr over their fields, and
-a cold import that pulls in neither dataclasses nor importlib.resources."""
+"""Value types: frozen records with ==, hash and repr over their fields, one
+trust boundary (Record._trusted) for the values the library builds, and a
+cold import that pulls in neither dataclasses nor importlib.resources."""
 
+import ast
 import copy
 import dataclasses
 import os
@@ -8,6 +10,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,45 @@ def test_value_types_are_frozen_records(name):
                 hash(x)
     else:
         assert {hash(x) for x in (v, *copies)} == {expected}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_trusted_builds_the_value_of_its_fields(name):
+    v = VALUES[name]()
+    cls = type(v)
+    values = tuple(getattr(v, f) for f in cls._fields)
+    # a lattice keeps its own hash beside the fields
+    extra = {"_hash": hash(values)} if cls is IntegralLattice else {}
+    x = cls._trusted(*values, **extra)
+    assert type(x) is cls and x == v and repr(x) == repr(v)
+    try:
+        expected = hash(v)
+    except TypeError:  # a dict field
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == expected
+    # the fields first, in order, as the constructors set them
+    assert list(vars(x)) == [*cls._fields, *extra]
+    with pytest.raises(AttributeError):
+        setattr(x, cls._fields[0], values[0])
+
+
+def test_values_skip_their_checks_only_through_trusted():
+    # object.__new__ is called in _inputs alone, by Record._trusted, and the
+    # per-class unchecked constructors it replaced are gone
+    new_calls, names = [], set()
+    for path in sorted(Path(nlk3.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                if node.attr == "__new__" and isinstance(node.value, ast.Name) and node.value.id == "object":
+                    new_calls.append(path.name)
+            elif isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+    assert new_calls == ["_inputs.py"]
+    assert names & {"_exact", "_reduced"} == set()
+    assert "_trusted" in names
 
 
 def test_witness_and_series_keep_their_fields():

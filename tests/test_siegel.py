@@ -414,7 +414,8 @@ def _chi10_by_series_mul(trunc_k, trunc_m):
     ids=lambda w: f"{w[0]}x{w[1]}",
 )
 def test_chi10_equals_a_fold_of_series_mul(window):
-    # chi10 multiplies int terms and builds its series unchecked
+    # chi10 multiplies int terms and builds its series through
+    # Record._trusted, unchecked
     assert _assert_checked(chi10(trunc_k=window[0], trunc_m=window[1])) == _chi10_by_series_mul(*window)
 
 
@@ -656,8 +657,8 @@ def test_series_truncate_default_trunc_l():
 
 
 def test_series_truncate_and_binomial_pow_check_their_windows():
-    # both build their series unchecked, after converting and checking the
-    # window as the constructor does
+    # both build their series through Record._trusted, unchecked, after
+    # converting and checking the window as the constructor does
     x = chi10(trunc_k=2, trunc_m=3)
     for bounds in ((2, 3), (1, 2), (0, 0, 0), (2.0, Fraction(6, 2), 4)):
         y = _assert_checked(series_truncate(x, *bounds))
