@@ -332,39 +332,37 @@ def _cmd_siegel_independence(args, parser):
 # verify
 
 
-def _crit_net():
+def _crit_net(table, basis):
     data = chern.SurfaceChernData(32, -16, 8, 4)
     got = (chern.net_counts(data), chern.net_counts(data, degree=4))
     want = ((216, 1914), (864, 7656))
     return "net-of-conics counts", want, got
 
 
-def _crit_unigonal():
-    table = chern.default_unigonal_table()
+def _crit_unigonal(table, basis):
     got = (chern.unigonal_a2(table), chern.unigonal_double_point(table), chern.unigonal_counts(table)[1])
     return "unigonal counts", (816, 68592, 33480), got
 
 
-def _crit_chi10():
-    series = siegel.chi10(trunc_k=2, trunc_m=2)
+def _crit_chi10(table, basis):
+    series = siegel.chi10(basis.exponents, 2, 2)
     got = tuple(series.coefficient(*idx) for idx in ((1, 1, 1), (1, 0, 1), (1, 1, 2)))
     return "cusp form coefficients", (1, -2, -16), got
 
 
-def _crit_e4e6():
-    series = siegel.e4e6()
+def _crit_e4e6(table, basis):
+    series = siegel.e4e6(1, 1, basis.e4, basis.e6)
     indices = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (1, 0, 1))
     got = tuple(series.coefficient(*idx) for idx in indices)
     return "Eisenstein product coefficients", (1, -264, -264, 57792, -45360), got
 
 
-def _crit_fit():
+def _crit_fit(table, basis):
     """The weight-10 fit to twice the unigonal counts.  Its cuspidal and
     binodal predictions return the fit's inputs, halved, whatever the tables
     say; the content is a = 1, which (chi10 having (1,1,1) = 1, (1,0,1) = -2)
     is the chi10-free identity 2*816 + 33480 = 35112 = (2*57792 - 45360)/2."""
-    basis = siegel.Weight10Basis()
-    a2, a11 = counts = chern.unigonal_counts(chern.default_unigonal_table())
+    a2, a11 = counts = chern.unigonal_counts(table)
     fit = siegel.fit_weight10({(1, 1, 1): 2 * a2, (1, 0, 1): 2 * a11}, basis=basis)
     got = (
         (fit.a, fit.b),
@@ -375,7 +373,7 @@ def _crit_fit():
     return "weight-10 fit and cross-pipeline agreement", want, got
 
 
-def _crit_components():
+def _crit_components(table, basis):
     """Counts for g = 3..100, witnesses at g = 6, 7, and every nodal and a11
     Eichler candidate named at g = 3..6: a norm -2 candidate is 2-torsion,
     spanned by w/2 and s1/2 with q = -(g-1)/2 and -3/2 mod 2Z, a pattern
@@ -409,7 +407,7 @@ def _crit_components():
     return "component counts g=3..100 and witnesses", "all match", "all match" if not bad else "; ".join(bad)
 
 
-def _crit_disc_groups():
+def _crit_disc_groups(table, basis):
     bad = []
     for g in (4, 5, 6, 7, 11):
         grp_g = lattice.discriminant_group(lattice.build_standard("LambdaG", g=g))
@@ -424,7 +422,7 @@ def _crit_disc_groups():
     return "discriminant groups", "all match", "all match" if not bad else "; ".join(bad)
 
 
-def _crit_triangular():
+def _crit_triangular(table, basis):
     bad = []
     for g in range(3, 41):
         reps = nldiv.triangular_decomposition(nldiv.NLKey(g, 0, -2))
@@ -441,12 +439,12 @@ def _crit_triangular():
     return "triangular decomposition vs component counts", "all match", "all match" if not bad else "; ".join(bad)
 
 
-def _crit_properties():
+def _crit_properties(table, basis):
     import random
 
     bad = []
-    x = siegel.chi10(trunc_k=2, trunc_m=2)
-    ee = siegel.e4e6()
+    x = siegel.chi10(basis.exponents, 2, 2)
+    ee = siegel.e4e6(1, 1, basis.e4, basis.e6)
     for series in (x, ee):
         for (k, l, m), value in series.coeffs.items():
             if 4 * k * m - l * l < 0:
@@ -471,11 +469,13 @@ def _crit_properties():
             bad.append(f"binomial inverse fails for c={c}")
     if orbits.nl_component_count(10, "a11") != orbits.nl_component_count(10, "a11"):
         bad.append("component enumeration not deterministic")
-    if siegel.chi10(trunc_k=2, trunc_m=2) != x:
+    if siegel.chi10(basis.exponents, 2, 2) != x:
         bad.append("cusp form expansion not deterministic")
     return "property suite", "all hold", "all hold" if not bad else "; ".join(bad)
 
 
+# each criterion takes the shipped unigonal table and weight-10 basis, read
+# once per verify run, and returns (name, expected, actual)
 CRITERIA = (
     _crit_net,
     _crit_unigonal,
@@ -497,10 +497,11 @@ def _cmd_verify(args, parser):
         if not 1 <= args.criterion <= len(CRITERIA):
             parser.error(f"--criterion must be in 1..{len(CRITERIA)}")
         selected = [args.criterion]
+    table, basis = chern.default_unigonal_table(), siegel.Weight10Basis()
     rows = []
     failures = 0
     for number in selected:
-        name, want, got = CRITERIA[number - 1]()
+        name, want, got = CRITERIA[number - 1](table, basis)
         ok = want == got
         failures += 0 if ok else 1
         rows.append(

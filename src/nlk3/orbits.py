@@ -163,10 +163,11 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     Each component is the class x of a named half-vector v/2 of its _LOCI
     row.  The Eichler scan of the norm holds x, once, exactly when its order
     d divides the norm and q(x) = norm/d^2 mod 2Z, so each named class is
-    tested alone and no torsion is scanned; `nlk3 verify` criterion 6
-    checks that nodal and a11 name every candidate.  The classes come from
-    the locus's _class_table: at genus g the group adds w's factor 2g-2
-    last, and x adds w's residue g-1 when v names w, since
+    tested alone and no torsion is scanned.  nodal and a11 count every
+    norm -2 Eichler class of their period lattice, as `nlk3 verify`
+    criterion 6 checks at g = 3..6; a2 follows the convention below.  The
+    classes come from the locus's _class_table: at genus g the group adds
+    w's factor 2g-2 last, and x adds w's residue g-1 when v names w, since
     w/2 = (g-1)*w/(2g-2).  q(x) = q(v/2) = v^2/4 mod 2Z (Nikulin 1979, 1.3),
     so the test runs in integers, and no lattice or discriminant group is
     built for g:
@@ -176,14 +177,13 @@ def nl_component_count(g: int, locus: str, with_witnesses: bool = False):
     a11    norm -2 vectors orthogonal to a fixed root: H' (class 0) always,
            H'' (w/2) when g = 2 mod 4, H''' ((w+s1)/2) when g = 3 mod 4.
     a2     norm -6 vectors w = t1 + 2v supporting a cuspidal configuration:
-           the single component H_{A_2}.  Only divisibility-2 candidates of
-           class s1/2 are counted (the doubled lift is congruent to s1 mod
-           2L).  Divisibility-6 candidates, realized by honest vectors, exist
-           exactly when g = 4 mod 9: with g - 1 = 3t, the 3-part of
-           q(x) = -1/6 needs t = 1 mod 3.  They are taken to span a
-           non-saturated configuration, i.e. the surface carries a strictly
-           larger Picard sublattice, and are booked under deeper loci rather
-           than as new A2 components; nothing here computes that saturation.
+           the single component H_{A_2}.  By convention only the
+           divisibility-2 class s1/2 is counted (the doubled lift is
+           congruent to s1 mod 2L), a convention pinned by criterion 6's
+           frozen a2 = 1.  It leaves out the divisibility-6 classes, realized
+           by honest vectors, which exist exactly when g = 4 mod 9: with
+           g - 1 = 3t, the 3-part of q(x) = -1/6 needs t = 1 mod 3.  Nothing
+           here decides which lattice types those classes span.
 
     The components come in the scan's order (class 0 first; a11's two
     order-2 classes never occur together).  With with_witnesses each carries

@@ -4,6 +4,7 @@ import argparse
 import ast
 import hashlib
 import io
+import itertools
 import json
 import pkgutil
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import nlk3
-from nlk3 import chern, cli, nldiv, siegel
+from nlk3 import chern, cli, lattice, nldiv, orbits, siegel
 from nlk3.lattice import STANDARD_NAMES, IntegralLattice, build_standard, smith_normal_form
 
 from lattice_helpers import direct_sum, to_text
@@ -321,6 +322,14 @@ def test_components_build_the_lattice_only_for_witnesses(monkeypatch, capsys):
     assert built == []
     assert run_cli(capsys, "nl", "components", "--g", "6", "--locus", "a2", "--witnesses")[0] == 0
     assert built == [(6, "a2")]
+
+
+def test_components_print_a_missing_witness_as_null(monkeypatch, capsys):
+    monkeypatch.setattr(orbits, "find_witness", lambda l, cand: None)
+    code, out, _ = run_cli(capsys, "nl", "components", "--g", "6", "--locus", "nodal", "--witnesses")
+    assert code == 0
+    assert [comp["witness"] for comp in json.loads(out)["result"]["components"]] == [None, None]
+    assert '"witness": null' in out
 
 
 def test_components_locus_alias_answers_as_typed(capsys):
@@ -659,7 +668,7 @@ def test_verify_reports_expected_and_actual(capsys):
 
 
 def test_verify_mismatch_exits_three(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "CRITERIA", (lambda: ("rigged", 1, 2),))
+    monkeypatch.setattr(cli, "CRITERIA", (lambda table, basis: ("rigged", 1, 2),))
     code, out, _ = run_cli(capsys, "verify")
     assert code == 3
     row = json.loads(out)["result"][0]
@@ -675,6 +684,108 @@ def test_verify_fit_criterion_parses_each_siegel_table_once(capsys, monkeypatch)
     assert code == 0
     assert json.loads(out)["result"][0]["pass"] is True
     assert parsed == {"loads_half_integral": 1, "loads_coeff_table": 2}
+
+
+def test_verify_reads_each_shipped_table_once(capsys, monkeypatch):
+    read = Counter()
+    for module in (chern, siegel):
+        real = module.load_shipped
+        monkeypatch.setattr(module, "load_shipped", lambda name, parse, real=real: read.update([name]) or real(name, parse))
+    code, _, _ = run_cli(capsys, "verify", "--all")
+    assert code == 0
+    assert read == {"chi10_exponents.tbl": 1, "e4.tbl": 1, "e6.tbl": 1, "unigonal.tbl": 1}
+
+
+def _wrap(monkeypatch, owner, name, when, fault):
+    # owner.name answers as before, except on the arguments that `when`
+    # accepts: there it returns fault(the real answer, *arguments)
+    real = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return fault(out, *args) if when(*args) else out
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+def _edited_e4(edits):
+    # the shipped basis with E4's coefficients at some indices replaced
+    e4 = siegel.e4_series()
+    return siegel.Weight10Basis(e4=siegel.GenusTwoSeries({**e4.coeffs, **edits}, e4.trunc_k, e4.trunc_m, e4.trunc_l))
+
+
+def _swap_group(monkeypatch, name):
+    # the group of name at g = 11 is that of g = 12
+    _wrap(
+        monkeypatch, lattice, "discriminant_group",
+        lambda l: l == build_standard(name, g=11),
+        lambda grp, l: lattice.discriminant_group(build_standard(name, g=12)),
+    )
+
+
+def _flip_on_every_other_call(monkeypatch, owner, name, when, flip):
+    calls = itertools.count()
+    _wrap(monkeypatch, owner, name, when, lambda out, *args: flip(out) if next(calls) % 2 else out)
+
+
+def _asymmetric(m):
+    # the Gram matrices the library reduces are symmetric; criterion 9's
+    # random matrices are not
+    return [list(row) for row in m] != [list(col) for col in zip(*m)]
+
+
+def _bump_202(series):
+    return siegel.GenusTwoSeries({**series.coeffs, (2, 0, 2): series.coefficient(2, 0, 2) + 1}, series.trunc_k, series.trunc_m, series.trunc_l)
+
+
+# one fault per failure branch of criteria 6-9 and the message that branch
+# writes.  A fault that patches the library must leave every other criterion
+# passing; one that returns an edited basis is passed to the criterion itself
+_FAULTS = {
+    "count": (6, "g=50: (2, 2, 2) != (2, 2, 1)", lambda mp: _wrap(
+        mp, orbits, "nl_component_count", lambda g, locus, *_: (g, locus) == (50, "a2"), lambda out, *_: (out[0] + 1, out[1]))),
+    "no-witness": (6, "g=6 nodal P_{0,-2}: no witness", lambda mp: _wrap(
+        mp, orbits, "find_witness", lambda *_: True, lambda *_: None)),
+    "bad-witness": (6, "g=6 nodal P_{0,-2}: witness fails validation", lambda mp: _wrap(
+        mp, orbits, "find_witness", lambda *_: True, lambda w, *_: lattice.LatticeVector([2 * c for c in w.coords]))),
+    "LambdaG-factors": (7, "LambdaG(11): factors (22,)", lambda mp: _swap_group(mp, "LambdaG")),
+    "LambdaA1-factors": (7, "LambdaA1(11): factors (2, 22)", lambda mp: _swap_group(mp, "LambdaA1")),
+    "q(w2)": (7, "LambdaA1(11): q(w2) = -1/2", lambda mp: _wrap(
+        mp, lattice.DiscriminantGroup, "quadratic", lambda grp, x: grp.factors == (2, 20), lambda q, *_: q + 1)),
+    "rep-count": (8, "g=5: 2 reps vs 1 components", lambda mp: _wrap(
+        mp, nldiv, "triangular_decomposition", lambda key: key == nldiv.NLKey(5, 0, -2), lambda reps, key: (*reps, *reps))),
+    "rep-keys": (8, "g=5: keys [(1, -2)] != [(0, -2)]", lambda mp: _wrap(
+        mp, nldiv, "triangular_decomposition", lambda key: key == nldiv.NLKey(5, 0, -2),
+        lambda reps, key: [(nldiv.NLKey(5, rep.d + 1, rep.n), mu) for rep, mu in reps])),
+    "support": (9, "support violation at (0, 1, 0)", lambda mp: _edited_e4({(0, 1, 0): 5})),
+    "symmetry": (9, "symmetry violation at (1, 1, 1)", lambda mp: _edited_e4({(1, 1, 1): 1})),
+    "smith-identity": (9, "smith identity violation", lambda mp: _wrap(
+        mp, lattice, "smith_normal_form", _asymmetric, lambda out, m: (((out[0][0][0] + 1, *out[0][0][1:]), *out[0][1:]), *out[1:]))),
+    "smith-unimodular": (9, "smith transform not unimodular", lambda mp: _wrap(
+        mp, lattice, "smith_normal_form", _asymmetric, lambda out, m: (out[0], [[2 * a for a in out[1][0]], *out[1][1:]], out[2]))),
+    "binomial-inverse": (9, "binomial inverse fails for c=57", lambda mp: _wrap(
+        mp, siegel, "binomial_pow", lambda monomial, c, *_: c == 57, lambda *_: siegel.series_one(4, 4))),
+    "component-determinism": (9, "component enumeration not deterministic", lambda mp: _flip_on_every_other_call(
+        mp, orbits, "nl_component_count", lambda *args: args == (10, "a11"), lambda out: (out[0], out[1][::-1]))),
+    "chi10-determinism": (9, "cusp form expansion not deterministic", lambda mp: _flip_on_every_other_call(
+        mp, siegel, "chi10", lambda table, *window: window == (2, 2), _bump_202)),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_verify_reports_each_failure_branch(capsys, monkeypatch, fault):
+    criterion, message, inject = _FAULTS[fault]
+    basis = inject(monkeypatch)
+    if basis is None:
+        code, out, _ = run_cli(capsys, "verify", "--all")
+        rows = json.loads(out)["result"]
+        assert code == 3
+        assert [row["criterion"] for row in rows if not row["pass"]] == [criterion]
+        actual = rows[criterion - 1]["actual"]
+    else:
+        _, want, actual = cli.CRITERIA[criterion - 1](chern.default_unigonal_table(), basis)
+        assert actual != want
+    assert message in actual.split("; ")
 
 
 @pytest.mark.parametrize(
