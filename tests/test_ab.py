@@ -57,6 +57,7 @@ _FULL = (
     "BENCH_one_count_route.json",
     "BENCH_residue_labels.json",
     "BENCH_trusted.json",
+    "BENCH_verify_once.json",
 )
 _PER_SIDE = ("BENCH_record_base.json",)
 _EXEMPT = ("BENCH_sparse_gram.json", "BENCH_summand_groups.json", "BENCH_validate_once.json")
