@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import floordiv, itemgetter, mod, mul
 
@@ -217,17 +217,16 @@ class IntegralLattice(Record):
 
     def describe(self, v) -> str:
         """Human-readable form of a vector, e.g. 'w + 2*e2 + 2*f2'."""
-        parts = []
+        out = ""
         for c, s in zip(_coords(v), self.labels):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(s)
-            elif c == -1:
-                parts.append(f"-{s}")
-            else:
-                parts.append(f"{c}*{s}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+            if c:
+                # the sign comes from c alone, so a label may begin with '-'
+                term = s if abs(c) == 1 else f"{abs(c)}*{s}"
+                if out:
+                    out += f" - {term}" if c < 0 else f" + {term}"
+                else:
+                    out = f"-{term}" if c < 0 else term
+        return out or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +337,16 @@ def _standard_template(name) -> tuple[IntegralLattice, tuple, tuple[tuple[int, i
     template = IntegralLattice(*_block_diagonal((*lead, *summands)))
     # each summand's own Smith normal form, padded out to the whole rank at
     # its offset (G is block diagonal, so G.v_i pads too), stable-sorted by
-    # invariant factor
+    # invariant factor; a unimodular summand has every factor 1 and is not
+    # factored
     n = template.rank
     offset = len(lead)
     gens = []
     for gram, _ in summands:
-        head, tail = (0,) * offset, (0,) * (n - offset - len(gram))
-        for f, *vecs in _block_generators(gram):
-            gens.append((f, *((*head, *x, *tail) for x in vecs)))
+        if abs(det(gram)) != 1:
+            head, tail = (0,) * offset, (0,) * (n - offset - len(gram))
+            for f, *vecs in _snf_generators(gram):
+                gens.append((f, *((*head, *x, *tail) for x in vecs)))
         offset += len(gram)
     gens.sort(key=itemgetter(0))
     return template, tuple(gens), hyperbolic_planes(template), *_generator_tables(gens)
@@ -374,12 +375,6 @@ def hyperbolic_planes(l: IntegralLattice) -> tuple[tuple[int, int], ...]:
 
 # ---------------------------------------------------------------------------
 # discriminant groups
-
-
-def _mod2_rep(x: Fraction) -> Fraction:
-    """Canonical representative of x mod 2Z in the interval (-2, 0]."""
-    s = Fraction(x) % 2
-    return s - 2 if s > 0 else s
 
 
 def _order(factors, residues) -> int:
@@ -434,10 +429,6 @@ def _snf_generators(gram) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
             col = tuple(row[i] for row in v)
             out.append((d[i][i], col, u[i], tuple(_mat_vec(gram, col))))
     return tuple(out)
-
-
-# the constant summands (U, E8neg, E7neg) are factored once per process
-_block_generators = lru_cache(maxsize=8)(_snf_generators)
 
 
 def _generator_tables(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
@@ -505,7 +496,7 @@ class DiscriminantGroup:
             for row, fi in zip(pairings, self.factors)
         )
 
-    @cached_property
+    @property
     def lifts(self) -> tuple[tuple[Fraction, ...], ...]:
         """The generator lifts (column i of v)/d_i."""
         return tuple(tuple(Fraction(c, f) for c in col) for col, f in zip(self._cols, self.factors))
@@ -606,7 +597,8 @@ class DiscriminantGroup:
     def quadratic(self, x: DiscElement) -> Fraction:
         """q(x) in Q/2Z, as the canonical representative in (-2, 0]."""
         a = self._residues(x)
-        return _mod2_rep(Fraction(self._pairing(a, a), self._den))
+        # -(-N*q mod 2N) is N*q reduced into (-2N, 0]
+        return Fraction(-(-self._pairing(a, a) % (2 * self._den)), self._den)
 
     def _q_is(self, a, num: int, den: int) -> bool:
         """Whether q = num/den in Q/2Z for the class of residues a: N*q
@@ -694,13 +686,16 @@ def orthogonal_complement(l: IntegralLattice, vectors):
 def from_text(text: str) -> IntegralLattice:
     """Parse the text format; '#' starts a comment, and errors name file lines."""
     lines = list(text_rows(text))
-    if not lines or lines[0][1][0] != "rank" or len(lines[0][1]) < 2:
-        raise ValueError(f"line {lines[0][0] if lines else 1}: expected 'rank N' header")
+    lineno, header = lines[0] if lines else (1, [])
+    if len(header) != 2 or header[0] != "rank":
+        raise ValueError(f"line {lineno}: expected 'rank N' header")
     try:
-        n = int(lines[0][1][1])
+        n = int(header[1])
     except ValueError:
-        raise ValueError(f"line {lines[0][0]}: malformed rank header") from None
-    if n < 0 or len(lines) < n + 1:
+        n = -1  # as malformed as a negative rank
+    if n < 0:
+        raise ValueError(f"line {lineno}: malformed rank header")
+    if len(lines) < n + 1:
         raise ValueError(f"expected {n} Gram rows after the header")
     gram = []
     for lineno, parts in lines[1 : n + 1]:

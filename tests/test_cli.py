@@ -87,6 +87,11 @@ def test_rationals_serialized_without_floats(capsys):
     assert json.loads(out)["result"]["value"] == 816
 
 
+def test_plain_refuses_a_type_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        cli._plain(object())
+
+
 # ---------------------------------------------------------------------------
 # lattice commands
 
@@ -147,6 +152,13 @@ def test_lattice_disc_from_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "lattice", "disc", "--file", "-")
     assert code == 0
     assert json.loads(out)["result"] == {"order": 1, "factors": [], "generators": []}
+
+
+def test_lattice_disc_stdin_rejects_a_malformed_header(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("rank 2 7\n0 1\n1 0\n"))
+    code, out, err = run_cli(capsys, "lattice", "disc", "--file", "-")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "line 1: expected 'rank N' header"
 
 
 def test_lattice_disc_file_with_byte_order_mark(tmp_path, capsys):
@@ -332,6 +344,16 @@ def test_components_print_a_missing_witness_as_null(monkeypatch, capsys):
     assert '"witness": null' in out
 
 
+def test_components_print_a_missing_witness_as_an_empty_tsv_cell(monkeypatch, capsys):
+    monkeypatch.setattr(orbits, "find_witness", lambda l, cand: None)
+    code, out, _ = run_cli(capsys, "--format", "tsv", "nl", "components", "--g", "6", "--locus", "nodal", "--witnesses")
+    assert code == 0
+    assert out == (
+        "components\tclass=0,div=1,label=P_{0,-2},witness=,class=5,div=2,label=P_{g-1,(g-2)/2},witness=\n"
+        "count\t2\n"
+    )
+
+
 def test_components_locus_alias_answers_as_typed(capsys):
     # an alias passes the --locus check, and the inputs echo it as typed
     code, out, _ = run_cli(capsys, "nl", "components", "--g", "6", "--locus", "node")
@@ -352,6 +374,16 @@ def test_components_huge_genus_is_cheap(capsys):
     assert [c["label"] for c in result["components"]] == ["P_{0,-2}", "P_{g-1,(g-2)/2}"]
     assert [c["class"] for c in result["components"]] == [[0], [1000001]]
     assert elapsed < 1.0
+
+
+def test_triangular_without_decomposition_prints_an_empty_result(capsys):
+    # this (g, d, n) has no triangular decomposition
+    args = ("nl", "triangular", "--g", "2", "--d", "-10", "--n", "-59")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["result"] == []
+    # an empty list is no table, and TSV prints it as one empty line
+    assert run_cli(capsys, "--format", "tsv", *args)[:2] == (0, "\n")
 
 
 def test_triangular_huge_genus_is_cheap(capsys):

@@ -754,13 +754,13 @@ def recorded_snf_ranks(monkeypatch):
 
 def test_standard_groups_take_no_full_snf(monkeypatch):
     ranks = recorded_snf_ranks(monkeypatch)
-    lattice._block_generators.cache_clear()
     lattice._standard_template.cache_clear()
     for name, g in standard_lattices([3, 4, 50, 10**6]):
         DiscriminantGroup(build_standard(name, g=g))
-    # U, E8neg and E7neg once each; the rank-1 block <-(2g-2)> takes no SNF
-    assert sorted(ranks) == [2, 7, 8]
-    assert lattice._block_generators.cache_info().currsize == 3
+    # E7 once for each name that holds it (E7neg and LambdaA1); U and E8neg
+    # are unimodular and the rank-1 block <-(2g-2)> is its own Smith normal
+    # form, so neither is factored
+    assert ranks == [7, 7]
 
 
 def test_other_lattices_take_the_full_snf(monkeypatch):
@@ -784,12 +784,12 @@ def test_summand_snfs_wait_for_the_first_group():
     # importing the package (and the CLI) factors no summand and builds no
     # standard lattice's template
     code = (
-        "import nlk3.cli; from nlk3.lattice import _block_generators, _standard_template\n"
-        "for c in (_block_generators, _standard_template): print(c.cache_info().currsize, c.cache_parameters()['maxsize'])"
+        "import nlk3.cli; from nlk3.lattice import _standard_template\n"
+        "print(_standard_template.cache_info().currsize, _standard_template.cache_parameters()['maxsize'])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "8", "0", str(len(STANDARD_NAMES))]
+    assert proc.stdout.split() == ["0", str(len(STANDARD_NAMES))]
 
 
 @pytest.mark.parametrize("name,g", [("U", None), ("E8neg", None), ("E7neg", None), ("LambdaG", 6), ("LambdaA1", 6), ("LambdaA1", 7)])
@@ -1001,11 +1001,10 @@ def lift_case(name, g):
 def test_lifts_match_fraction_definition(name, g):
     l = lift_case(name, g)
     grp = DiscriminantGroup(l)
-    assert "lifts" not in vars(grp)  # built on first read
+    assert "lifts" not in vars(grp)  # computed on each read
     factors, lifts = fraction_lifts(l)
     assert grp.factors == factors
     assert grp.lifts == lifts
-    assert grp.lifts is grp.lifts
     for x in grp.elements():
         want = tuple(sum((a * lift[i] for a, lift in zip(x.residues, lifts)), Fraction(0)) for i in range(l.rank))
         assert grp.lift(x) == want
@@ -1185,6 +1184,12 @@ def test_from_text_errors_name_file_lines():
         from_text("\n# only comments before\nnot a header\n")
     with pytest.raises(ValueError, match="trailing content at line 7"):
         from_text("rank 2\n0 1\n1 0\n\ne f\n\nextra\n")
+    # the header holds exactly 'rank N' with N >= 0, as a Gram row holds
+    # exactly N entries
+    with pytest.raises(ValueError, match="^line 1: expected 'rank N' header$"):
+        from_text("rank 2 7\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="^line 2: malformed rank header$"):
+        from_text("\nrank -1\n")
 
 
 def test_from_text_drops_one_leading_byte_order_mark():
@@ -1205,6 +1210,15 @@ def test_describe():
     assert lg.describe([0] * 21) == "0"
     w = [0, -1, 3] + [0] * 18
     assert lg.describe(w) == "-e2 + 3*f2"
+
+
+def test_describe_takes_each_sign_from_its_coefficient():
+    # a label may begin with '-': the sign between terms is the coefficient's
+    l = IntegralLattice([[0, 1], [1, 0]], ("e", "-f"))
+    assert l.describe([1, 1]) == "e + -f"
+    assert l.describe([1, -1]) == "e - -f"
+    assert l.describe([-1, 2]) == "-e + 2*-f"
+    assert l.describe([0, -3]) == "-3*-f"
 
 
 # ---------------------------------------------------------------------------
