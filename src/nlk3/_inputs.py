@@ -1,6 +1,6 @@
 """What the layers share: the frozen value base Record, integers that must
-not be truncated, the line format of the text tables, and the tables shipped
-with the package."""
+not be truncated, the line and number format of the text inputs, and the
+tables shipped with the package."""
 
 from __future__ import annotations
 
@@ -36,7 +36,11 @@ class Record:
         extra attributes, built without the constructor's checks: the caller
         vouches that each value is the one the constructor would store."""
         x = object.__new__(cls)
-        vars(x).update(dict(zip(cls._fields, values)), **extra)
+        # the one dict built here becomes the instance dict; updating the
+        # materialized one from the pairs would leave it split (shared
+        # keys), and CPython 3.11 reads attributes from such a dict about
+        # three times slower
+        object.__setattr__(x, "__dict__", dict(zip(cls._fields, values), **extra))
         return x
 
     def __setattr__(self, name, value):
@@ -62,7 +66,10 @@ class Record:
 def exact_int(x) -> int:
     """x as an int; a non-integral value raises ValueError instead of being
     truncated."""
-    y = int(x)
+    try:
+        y = int(x)
+    except OverflowError:  # int() of an infinity
+        raise ValueError(f"non-integral entry {x!r}") from None
     if y != x:
         raise ValueError(f"non-integral entry {x!r}")
     return y
@@ -90,6 +97,19 @@ def text_rows(text: str, layout: str | None = None):
             if width and len(fields) != width:
                 raise ValueError(f"line {lineno}: expected '{layout}', got {len(fields)} fields")
             yield lineno, fields
+
+
+def text_number(field: str, lineno: int, message: str, parse=int):
+    """parse(field) if field is ASCII, holds no '_' and parse reads it; else ValueError('line N: message')."""
+    # the one number rule of the text inputs: parse is int or Fraction, and
+    # int() alone also reads the digits of every script and '1_0', while
+    # Fraction() reads '1_0' from Python 3.11 on but not on 3.10
+    if field.isascii() and "_" not in field:
+        try:
+            return parse(field)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"line {lineno}: {message}")
 
 
 def load_shipped(name: str, parse):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._inputs import Record, exact_int, load_shipped, text_rows
+from ._inputs import Record, exact_int, load_shipped, text_number, text_rows
 
 
 class P2Class(Record):
@@ -131,10 +131,7 @@ def loads_unigonal(text: str) -> UnigonalTable:
             raise ValueError(f"line {lineno}: unknown class {name!r}; valid: {', '.join(TABLE_CLASSES)}")
         if name in seen:
             raise ValueError(f"line {lineno}: duplicate entry for {name!r}")
-        try:
-            seen[name] = P2Class(*(Fraction(p) for p in parts[1:]))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"line {lineno}: malformed rational") from None
+        seen[name] = P2Class(*(text_number(p, lineno, "malformed rational", Fraction) for p in parts[1:]))
     missing = [n for n in TABLE_CLASSES if n not in seen]
     if missing:
         raise ValueError(f"missing table entries: {', '.join(missing)}")

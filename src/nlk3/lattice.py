@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import floordiv, itemgetter, mod, mul
 
-from ._inputs import Record, exact_int, exact_ints, text_rows
+from ._inputs import Record, exact_int, exact_ints, text_number, text_rows
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +689,7 @@ def from_text(text: str) -> IntegralLattice:
     lineno, header = lines[0] if lines else (1, [])
     if len(header) != 2 or header[0] != "rank":
         raise ValueError(f"line {lineno}: expected 'rank N' header")
-    try:
-        n = int(header[1])
-    except ValueError:
-        n = -1  # as malformed as a negative rank
+    n = text_number(header[1], lineno, "malformed rank header")
     if n < 0:
         raise ValueError(f"line {lineno}: malformed rank header")
     if len(lines) < n + 1:
@@ -701,10 +698,7 @@ def from_text(text: str) -> IntegralLattice:
     for lineno, parts in lines[1 : n + 1]:
         if len(parts) != n:
             raise ValueError(f"line {lineno}: expected {n} entries, got {len(parts)}")
-        try:
-            gram.append([int(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer entry") from None
+        gram.append([text_number(p, lineno, "non-integer entry") for p in parts])
     labels = None
     if len(lines) > n + 1:
         lineno, fields = lines[n + 1]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
-from ._inputs import Record, exact_int, exact_ints, load_shipped, text_rows
+from ._inputs import Record, exact_int, exact_ints, load_shipped, text_number, text_rows
 
 
 def default_trunc_l(trunc_k: int, trunc_m: int) -> int:
@@ -185,10 +185,7 @@ def loads_half_integral(text: str) -> HalfIntegralTable:
     """Parse an exponent table: lines `m value`, '#' comments."""
     values = {}
     for lineno, parts in text_rows(text, "m value"):
-        try:
-            m, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed integer") from None
+        m, c = (text_number(p, lineno, "malformed integer") for p in parts)
         if m in values:
             raise ValueError(f"line {lineno}: duplicate entry for m={m}")
         values[m] = c
@@ -280,11 +277,8 @@ def loads_coeff_table(text: str) -> GenusTwoSeries:
     """
     canonical = {}
     for lineno, parts in text_rows(text, "k l m value"):
-        try:
-            k, l, m = (int(p) for p in parts[:3])
-            value = Fraction(parts[3])
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"line {lineno}: malformed entry") from None
+        k, l, m = (text_number(p, lineno, "malformed entry") for p in parts[:3])
+        value = text_number(parts[3], lineno, "malformed entry", Fraction)
         if k < 0 or m < 0:
             raise ValueError(f"line {lineno}: negative exponent")
         canon = _orbit_rep(k, l, m)

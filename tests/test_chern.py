@@ -174,11 +174,20 @@ def test_loader_accepts_comments_and_rationals():
         ("a1 1 0", "line 1: expected"),
         ("a1 0 1 0 0  # c0 c1 c2", "^line 1: expected 'name c0 c1 c2', got 5 fields$"),
         ("a1 x 0 0", "line 1: malformed rational"),
+        ("a1 1_8 0 0", "^line 1: malformed rational$"),
+        ("a1 \u0662 0 0", "^line 1: malformed rational$"),
+        ("a1 0 \uff11 0", "^line 1: malformed rational$"),
     ],
 )
 def test_loader_rejects_malformed(text, msg):
     with pytest.raises(ValueError, match=msg):
         loads_unigonal(text)
+
+
+def test_loader_reads_signs_quotients_and_decimals():
+    rows = "".join(f"{name} 0 0 0\n" for name in TABLE_CLASSES[1:])
+    assert loads_unigonal(f"a1 +3 -2 1/2\n{rows}").a1 == P2Class(3, -2, Fraction(1, 2))
+    assert loads_unigonal(f"a1 0.5 0 0\n{rows}").a1 == P2Class(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

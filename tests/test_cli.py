@@ -161,6 +161,21 @@ def test_lattice_disc_stdin_rejects_a_malformed_header(capsys, monkeypatch):
     assert json.loads(err)["error"] == "line 1: expected 'rank N' header"
 
 
+@pytest.mark.parametrize(
+    "text,args,error",
+    [
+        ("rank 2\n0 1_0\n1_0 0\n", ("lattice", "disc", "--file", "-"), "line 2: non-integer entry"),
+        ("a1 1_8 0 0\n", ("enum", "unigonal", "--table", "-"), "line 1: malformed rational"),
+        ("-1 2\n0 \u0662\n", ("siegel", "chi10", "--exponents", "-", "--index", "1,1,1"), "line 2: malformed integer"),
+    ],
+)
+def test_stdin_readers_refuse_numbers_int_alone_would_read(capsys, monkeypatch, text, args, error):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error, "exact": True}
+
+
 def test_lattice_disc_file_with_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "bom.txt"
     path.write_bytes(b"\xef\xbb\xbfrank 2\n0 1\n1 0\n")

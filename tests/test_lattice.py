@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlk3 import lattice
-from nlk3._inputs import exact_ints
+from nlk3._inputs import exact_int, exact_ints
 from nlk3.chern import SurfaceChernData, net_counts
 from nlk3.lattice import (
     DiscElement,
@@ -441,6 +441,16 @@ def test_integer_checks_agree_on_both_routes():
     assert lattice._freeze(plain)[0] is plain[0]
     with pytest.raises(ValueError, match="non-integral entry 2.5"):
         lattice._freeze([[0, 1], [1, 2.5]])
+
+
+@pytest.mark.parametrize("inf", [float("inf"), float("-inf")])
+def test_exact_int_refuses_infinities_with_value_error(inf):
+    # int() of an infinity raises OverflowError; exact_int keeps its
+    # ValueError promise, here and through a public entry point
+    with pytest.raises(ValueError, match=f"^non-integral entry {inf!r}$"):
+        exact_int(inf)
+    with pytest.raises(ValueError, match=f"^non-integral entry {inf!r}$"):
+        build_standard("LambdaG", g=inf)
 
 
 def test_constructor_reports_first_bad_entry_in_row_major_order():
@@ -1163,6 +1173,27 @@ def test_from_text_malformed():
         from_text("rank 2\n0 1\n1 0\ne1\n")
     with pytest.raises(ValueError):
         from_text("rank 2\n0 1\n1 0\ne1 f1\nextra\n")
+
+
+@pytest.mark.parametrize(
+    "text,msg",
+    [
+        ("rank 2\n0 1_0\n1_0 0\n", "^line 2: non-integer entry$"),
+        ("rank 2\n0 \u0662\n\u0662 0\n", "^line 2: non-integer entry$"),
+        ("rank 2\n0 1\n1 \uff11\n", "^line 3: non-integer entry$"),
+        ("rank 1_0\n", "^line 1: malformed rank header$"),
+        ("rank \u0662\n0 1\n1 0\n", "^line 1: malformed rank header$"),
+        ("rank \uff12\n0 1\n1 0\n", "^line 1: malformed rank header$"),
+    ],
+)
+def test_from_text_refuses_numbers_int_alone_would_read(text, msg):
+    # '1_0' and digits of other scripts fail their line, as any non-number does
+    with pytest.raises(ValueError, match=msg):
+        from_text(text)
+
+
+def test_from_text_reads_signed_integers():
+    assert from_text("rank +2\n-2 +3\n+3 -2\n").gram == ((-2, 3), (3, -2))
 
 
 def test_from_text_full_line_comment():

@@ -314,11 +314,18 @@ def test_table_loaders_drop_one_leading_byte_order_mark(name, loads):
         ("-1 2\n# note\n0 1 2", "^line 3: expected 'm value', got 3 fields$"),
         ("-1 2\n0 x", "line 2: malformed"),
         ("-1 2\n-1 2", "line 2: duplicate"),
+        ("-1 2\n0 1_0", "^line 2: malformed integer$"),
+        ("-1 2\n\u0662 0", "^line 2: malformed integer$"),
+        ("-1 2\n0 \uff11", "^line 2: malformed integer$"),
     ],
 )
 def test_half_integral_loader_rejects_malformed(text, msg):
     with pytest.raises(ValueError, match=msg):
         loads_half_integral(text)
+
+
+def test_half_integral_loader_reads_signed_integers():
+    assert loads_half_integral("-1 +2\n+3 -2").values == {-1: 2, 3: -2}
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +512,22 @@ def test_coeff_table_canonicalizes_representatives():
         ("0 0 0 1\n\n1 0", "^line 3: expected 'k l m value', got 2 fields$"),
         ("0 0 0 x", "line 1: malformed"),
         ("-1 0 0 5", "line 1: negative exponent"),
+        ("0 0 0 1_0", "^line 1: malformed entry$"),
+        ("0 1_0 0 1", "^line 1: malformed entry$"),
+        ("0 0 \u0662 1", "^line 1: malformed entry$"),
+        ("0 0 0 \uff11", "^line 1: malformed entry$"),
     ],
 )
 def test_coeff_table_rejects_malformed(text, msg):
     with pytest.raises(ValueError, match=msg):
         loads_coeff_table(text)
+
+
+def test_coeff_table_reads_signs_quotients_and_decimals():
+    t = loads_coeff_table("+1 -2 3 1/2\n0 0 1 0.5\n0 0 2 -2\n")
+    assert t.coefficient(1, -2, 3) == t.coefficient(3, 2, 1) == Fraction(1, 2)
+    assert t.coefficient(1, 0, 0) == Fraction(1, 2)
+    assert t.coefficient(0, 0, 2) == -2
 
 
 # ---------------------------------------------------------------------------
