@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import chern, lattice, nldiv, orbits, siegel
+from . import _inputs, chern, lattice, nldiv, orbits, siegel
 
 
 # ---------------------------------------------------------------------------
@@ -80,39 +80,45 @@ def _emit(args, inputs: dict, result, status: int = 0) -> int:
 # argument parsing helpers
 
 
-def _parse_index(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
+def _flag(read, message):
+    """The argparse type read(text) that refuses text as 'message: text'."""
+
+    def parse(text: str):
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"{message}: {text!r}") from None
+
+    return parse
+
+
+# every number typed in a flag is read by _inputs.number, the rule of the
+# text inputs; the int flags keep the message of argparse's own int type
+_parse_int = _flag(_inputs.number, "invalid int value")
+_fraction = functools.partial(_inputs.number, parse=Fraction)
+_parse_rational = _flag(_fraction, "malformed rational")
+
+
+def _ints(text: str):
+    return tuple(map(_inputs.number, text.split(",")))
+
+
+def _triple(text: str):
+    # a wrong count passes through _flag with its own message
+    if text.count(",") != 2:
         raise argparse.ArgumentTypeError(f"index must be k,l,m: {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"index must be three integers: {text!r}") from None
+    return _ints(text)
 
 
-def _parse_observation(text: str):
-    head, sep, tail = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"observation must be k,l,m=value: {text!r}")
-    index = _parse_index(head)
-    try:
-        return index, Fraction(tail)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"malformed observation value: {tail!r}") from None
+def _observation(text: str):
+    head, tail = text.split("=", 1)  # no '=': ValueError
+    return _parse_index(head), _parse_obs_value(tail)
 
 
-def _parse_vector(text: str):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"vector must be comma-separated integers: {text!r}") from None
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"malformed rational: {text!r}") from None
+_parse_vector = _flag(_ints, "vector must be comma-separated integers")
+_parse_index = _flag(_triple, "index must be three integers")
+_parse_obs_value = _flag(_fraction, "malformed observation value")
+_parse_observation = _flag(_observation, "observation must be k,l,m=value")
 
 
 def _parse_locus(text: str) -> str:
@@ -526,7 +532,7 @@ def _lattice_branch(sub, help, leaf):
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--file", help="lattice text file, '-' for standard input")
     source.add_argument("--standard", choices=lattice.STANDARD_NAMES, help="shipped lattice by name")
-    source.add_argument("--g", type=int, help=f"genus parameter for {'/'.join(lattice.PERIOD_LATTICES)}")
+    source.add_argument("--g", type=_parse_int, help=f"genus parameter for {'/'.join(lattice.PERIOD_LATTICES)}")
     lat = sub.add_parser("lattice", help=help).add_subparsers(dest="subcommand", required=True)
     leaf(lat, "disc", "discriminant group and generator q-values", _cmd_lattice_disc, source)
     p = leaf(lat, "complement", "saturated orthogonal complement", _cmd_lattice_complement, source)
@@ -538,10 +544,10 @@ def _nl_branch(sub, help, leaf):
     # a key (g, d, n)
     key = argparse.ArgumentParser(add_help=False)
     for flag in ("--g", "--d", "--n"):
-        key.add_argument(flag, type=int, required=True)
+        key.add_argument(flag, type=_parse_int, required=True)
     nl = sub.add_parser("nl", help=help).add_subparsers(dest="subcommand", required=True)
     p = leaf(nl, "components", "irreducible component count of a locus", _cmd_nl_components)
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_parse_int, required=True)
     p.add_argument("--locus", type=_parse_locus, required=True)
     p.add_argument("--witnesses", action="store_true", help="attach explicit witness vectors")
     leaf(nl, "triangular", "decomposition into irreducible keys", _cmd_nl_triangular, key)
@@ -551,11 +557,11 @@ def _nl_branch(sub, help, leaf):
 def _enum_branch(sub, help, leaf):
     enum = sub.add_parser("enum", help=help).add_subparsers(dest="subcommand", required=True)
     p = leaf(enum, "net", "cuspidal/binodal counts of a net of conics", _cmd_enum_net)
-    p.add_argument("--alpha2", type=int, required=True)
-    p.add_argument("--alphac1", type=int, required=True)
-    p.add_argument("--c1sq", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--alpha2", type=_parse_int, required=True)
+    p.add_argument("--alphac1", type=_parse_int, required=True)
+    p.add_argument("--c1sq", type=_parse_int, required=True)
+    p.add_argument("--c2", type=_parse_int, required=True)
+    p.add_argument("--degree", type=_parse_int, default=1)
     p = leaf(enum, "unigonal", "counts of the unigonal family", _cmd_enum_unigonal)
     p.add_argument("--table", help="pushforward table file")
 
@@ -573,12 +579,12 @@ def _siegel_branch(sub, help, leaf):
         form.add_argument(flag, type=_parse_rational, required=True)
     sie = sub.add_parser("siegel", help=help).add_subparsers(dest="subcommand", required=True)
     p = leaf(sie, "chi10", "cusp form coefficient from the product expansion", _cmd_siegel_chi10, exponents)
-    p.add_argument("--trunc-k", type=int, default=2)
-    p.add_argument("--trunc-m", type=int, default=2)
+    p.add_argument("--trunc-k", type=_parse_int, default=2)
+    p.add_argument("--trunc-m", type=_parse_int, default=2)
     p.add_argument("--index", type=_parse_index, required=True, help="k,l,m")
     p = leaf(sie, "e4e6", "Eisenstein product coefficient", _cmd_siegel_e4e6, eisenstein)
-    p.add_argument("--trunc-k", type=int, default=1)
-    p.add_argument("--trunc-m", type=int, default=1)
+    p.add_argument("--trunc-k", type=_parse_int, default=1)
+    p.add_argument("--trunc-m", type=_parse_int, default=1)
     p.add_argument("--index", type=_parse_index, required=True, help="k,l,m")
     p = leaf(sie, "fit", "solve observations against the two weight-10 forms", _cmd_siegel_fit, exponents, eisenstein)
     p.add_argument("--obs", action="append", type=_parse_observation, required=True, help="k,l,m=value, repeatable")
@@ -593,7 +599,7 @@ def _siegel_branch(sub, help, leaf):
 def _verify_branch(sub, help, leaf):
     p = leaf(sub, "verify", help, _cmd_verify)
     p.add_argument("--all", action="store_true", help="run every criterion (the default)")
-    p.add_argument("--criterion", type=int, help="run a single criterion by number")
+    p.add_argument("--criterion", type=_parse_int, help="run a single criterion by number")
 
 
 # each top-level command: its help line, and the function that adds its

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from importlib import import_module, resources
 from pathlib import Path
 
@@ -310,6 +311,20 @@ _UNKNOWN_LOCUS = "argument --locus: unknown locus 'bogus'; valid: nodal, a11, a2
         # an unknown locus is refused before the genus is looked at
         (("nl", "components", "--g", "3", "--locus", "bogus"), "nl components", _UNKNOWN_LOCUS),
         (("nl", "components", "--g", "2", "--locus", "bogus"), "nl components", _UNKNOWN_LOCUS),
+        # a refused flag value keeps the message it had before the flags took
+        # the number rule of the text inputs
+        (("nl", "components", "--g", "six", "--locus", "a2"), "nl components", "argument --g: invalid int value: 'six'"),
+        (("siegel", "predict", "--a", "x", "--b", "0", "--which", "cuspidal"), "siegel predict",
+         "argument --a: malformed rational: 'x'"),
+        (("lattice", "complement", "--standard", "U", "--vector", "1,"), "lattice complement",
+         "argument --vector: vector must be comma-separated integers: '1,'"),
+        (("siegel", "chi10", "--index", "1,1"), "siegel chi10", "argument --index: index must be k,l,m: '1,1'"),
+        (("siegel", "chi10", "--index", "1,x,1"), "siegel chi10", "argument --index: index must be three integers: '1,x,1'"),
+        (("siegel", "fit", "--obs", "1,1,1:5"), "siegel fit", "argument --obs: observation must be k,l,m=value: '1,1,1:5'"),
+        (("siegel", "fit", "--obs", "1,1,1=1/0"), "siegel fit", "argument --obs: malformed observation value: '1/0'"),
+        # Fraction() alone reads 1_632 from Python 3.11 on, and not on 3.10
+        (("siegel", "fit", "--obs", "1,1,1=1_632", "--obs", "1,0,1=66960"), "siegel fit",
+         "argument --obs: malformed observation value: '1_632'"),
     ],
 )
 def test_usage_errors_print_the_leaf_usage(capsys, args, leaf, message):
@@ -680,6 +695,67 @@ def test_usage_errors_exit_one(capsys, args):
     code = cli.main(list(args))
     capsys.readouterr()
     assert code == 1
+
+
+def _parsers(parser, words=()):
+    """(command words, parser) of parser and of every parser below it."""
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parsers(child, (*words, name))
+
+
+def _typed_flags():
+    """(leaf words, flag, type) of every option with a type, in the tree that
+    each command builds for itself."""
+    for command in cli._COMMANDS:
+        for words, parser in _parsers(cli._build_parser(command)):
+            if words[:1] == (command,):
+                for action in parser._actions:
+                    if action.type is not None:
+                        yield words, action.option_strings[0], action.type
+
+
+# a typed number in each place a flag's value may hold one: alone, in a
+# comma list, as an index entry, and as an observation's value
+_SHAPES = ("{}", "1,{}", "{},1,1", "1,1,1={}", "1,{},1=1")
+_TYPED = list(_typed_flags())
+_TYPED_IDS = [f"{' '.join(words)} {flag}" for words, flag, _ in _TYPED]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0666", "\uff11"], ids=["underscore", "arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("words,flag,parse", _TYPED, ids=_TYPED_IDS)
+def test_every_flag_refuses_numbers_int_alone_would_read(capsys, words, flag, parse, value):
+    # the flag values follow the number rule of the text inputs: each shape
+    # is a usage error that names the flag
+    for shape in _SHAPES:
+        code, out, err = run_cli(capsys, *words, f"{flag}={shape.format(value)}")
+        assert (code, out) == (1, ""), shape
+        assert err.splitlines()[-1].startswith(f"nlk3 {' '.join(words)}: error: argument {flag}: "), shape
+
+
+def _numbers(value):
+    return [n for v in value for n in _numbers(v)] if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("words,flag,parse", _TYPED, ids=_TYPED_IDS)
+def test_every_flag_still_reads_signed_numbers(words, flag, parse):
+    # wherever a flag reads 3 and 2, it reads +3 as 3 and -2 as -2
+    for shape in _SHAPES:
+        try:
+            three, two = (_numbers(parse(shape.format(n))) for n in "32")
+        except (ValueError, argparse.ArgumentTypeError):  # argparse's own int type raises ValueError
+            continue
+        assert _numbers(parse(shape.format("+3"))) == three, shape
+        assert _numbers(parse(shape.format("-2"))) == [-n if n == 2 else n for n in two], shape
+
+
+def test_no_flag_parses_with_int_or_fraction():
+    types = {action.type for command in cli._COMMANDS for _, p in _parsers(cli._build_parser(command)) for action in p._actions}
+    assert not types & {int, Fraction}
+    # a flag of each kind is covered above: int, rational, list, index, observation
+    assert {"--g", "--a", "--vector", "--index", "--obs"} <= {flag for _, flag, _ in _typed_flags()}
 
 
 def test_help_exits_zero(capsys):

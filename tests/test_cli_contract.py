@@ -22,7 +22,7 @@ from nlk3.lattice import STANDARD_NAMES
 WALL_BUDGET_S = 5.0
 
 _DATA = resources.files("nlk3") / "data"
-_GARBAGE = st.sampled_from(["", "x", "1.5", "-0.5", "1e3", "nan", "inf", "1/0", "1,2", "--", "٣", " 7"])
+_GARBAGE = st.sampled_from(["", "x", "1.5", "-0.5", "1e3", "nan", "inf", "1/0", "1,2", "--", "٣", " 7", "1_0", "１"])
 _INT = st.one_of(
     st.integers(-8, 12).map(str),
     st.sampled_from(["-30", "97", "1000", "1000000", str(10**12), str(10**30), str(-(10**30))]),
