@@ -101,13 +101,11 @@ def text_rows(text: str, layout: str | None = None):
 
 
 def number(text: str, parse=int):
-    """parse(text) if text is ASCII and holds no '_'; else ValueError."""
+    """parse(text) if text holds only ASCII digits, '+', '-', '/' and '.'; else ValueError."""
     # the one number rule of every typed number, in a file or a CLI flag:
-    # parse is int or Fraction, and int() alone also reads the digits of
-    # every script and '1_0', while Fraction() reads '1_0' from Python 3.11
-    # on but not on 3.10; a text parse refuses raises its ValueError, or
-    # ZeroDivisionError for Fraction('1/0')
-    if text.isascii() and "_" not in text:
+    # parse is int or Fraction, and a text parse refuses raises its
+    # ValueError, or ZeroDivisionError for Fraction('1/0')
+    if not text.strip("0123456789+-/."):
         return parse(text)
     raise ValueError(f"not a plain ASCII number: {text!r}")
 

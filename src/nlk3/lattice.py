@@ -464,7 +464,11 @@ class DiscriminantGroup:
 
     def __init__(self, lattice: IntegralLattice):
         # at g = 2 the pivot w^2 = -2 ties the 2-pivots of E8, and the full
-        # Smith normal form's generator (w - 4*t1 - ...)/2 is not w/2
+        # Smith normal form's generator (w - 4*t1 - ...)/2 is not w/2.  The
+        # summand route would give w/2, and discriminant_group's cache keys
+        # on lattice equality: LambdaG(2) and a constructed lattice with its
+        # Gram and labels share one entry, so both would print w/2 or both
+        # the full generator, by which of them was cached first
         if lattice._standard is None or lattice._standard[1] == 2:
             gens = _snf_generators(lattice.gram)
             pairings, supports = _generator_tables(gens)

@@ -168,6 +168,8 @@ def test_lattice_disc_stdin_rejects_a_malformed_header(capsys, monkeypatch):
         ("rank 2\n0 1_0\n1_0 0\n", ("lattice", "disc", "--file", "-"), "line 2: non-integer entry"),
         ("a1 1_8 0 0\n", ("enum", "unigonal", "--table", "-"), "line 1: malformed rational"),
         ("-1 2\n0 \u0662\n", ("siegel", "chi10", "--exponents", "-", "--index", "1,1,1"), "line 2: malformed integer"),
+        ("a1 1e2 0 0\n", ("enum", "unigonal", "--table", "-"), "line 1: malformed rational"),
+        ("0 0 0 1e0\n", ("siegel", "e4e6", "--e4", "-", "--index", "1,1,1"), "line 1: malformed entry"),
     ],
 )
 def test_stdin_readers_refuse_numbers_int_alone_would_read(capsys, monkeypatch, text, args, error):
@@ -724,7 +726,9 @@ _TYPED = list(_typed_flags())
 _TYPED_IDS = [f"{' '.join(words)} {flag}" for words, flag, _ in _TYPED]
 
 
-@pytest.mark.parametrize("value", ["1_0", "\u0666", "\uff11"], ids=["underscore", "arabic-indic", "fullwidth"])
+@pytest.mark.parametrize(
+    "value", ["1_0", "\u0666", "\uff11", "1e2", " 3"], ids=["underscore", "arabic-indic", "fullwidth", "exponent", "padded"]
+)
 @pytest.mark.parametrize("words,flag,parse", _TYPED, ids=_TYPED_IDS)
 def test_every_flag_refuses_numbers_int_alone_would_read(capsys, words, flag, parse, value):
     # the flag values follow the number rule of the text inputs: each shape

@@ -12,6 +12,7 @@ import json
 import time
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlk3 import cli, orbits, siegel
@@ -22,7 +23,7 @@ from nlk3.lattice import STANDARD_NAMES
 WALL_BUDGET_S = 5.0
 
 _DATA = resources.files("nlk3") / "data"
-_GARBAGE = st.sampled_from(["", "x", "1.5", "-0.5", "1e3", "nan", "inf", "1/0", "1,2", "--", "٣", " 7", "1_0", "１"])
+_GARBAGE = st.sampled_from(["", "x", "1.5", "-0.5", "1e3", "nan", "inf", "1/0", "1,2", "--", "٣", " 7", "1_0", "１", "1e999999999"])
 _INT = st.one_of(
     st.integers(-8, 12).map(str),
     st.sampled_from(["-30", "97", "1000", "1000000", str(10**12), str(10**30), str(-(10**30))]),
@@ -110,3 +111,28 @@ def test_every_call_keeps_the_cli_contract(argv):
     else:
         assert out == "", argv
         assert err.count("\n") == 1 and set(json.loads(err)) == {"error", "exact"}, argv
+
+
+# Fraction() reads a decimal exponent by building 10**exp in full, about
+# 415 MB, before anything looks at the size; the number rule refuses
+# the 'e' first
+_HUGE = "1e999999999"
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,code,error",
+    [
+        (["siegel", "predict", f"--a={_HUGE}", "--b=0", "--which", "cuspidal"], "", 1, None),
+        (["siegel", "predict", "--a=0", f"--b={_HUGE}", "--which", "cuspidal"], "", 1, None),
+        (["siegel", "fit", f"--obs=1,1,1={_HUGE}", "--obs=1,0,1=66960"], "", 1, None),
+        (["enum", "unigonal", "--table", "-"], f"a1 {_HUGE} 0 0\n", 2, "line 1: malformed rational"),
+        (["siegel", "e4e6", "--e4", "-", "--index", "1,1,1"], f"0 0 0 {_HUGE}\n", 2, "line 1: malformed entry"),
+    ],
+    ids=["a", "b", "obs", "unigonal", "eisenstein"],
+)
+def test_a_huge_decimal_exponent_fails_at_once(monkeypatch, argv, stdin, code, error):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    got, out, err, elapsed = _run(argv)
+    assert (got, out) == (code, "") and elapsed < 1.0, (got, out, elapsed)
+    if error:
+        assert json.loads(err)["error"] == error
