@@ -346,8 +346,8 @@ def _crit_net(table, basis):
 
 
 def _crit_unigonal(table, basis):
-    got = (chern.unigonal_a2(table), chern.unigonal_double_point(table), chern.unigonal_counts(table)[1])
-    return "unigonal counts", (816, 68592, 33480), got
+    a2, a11 = chern.unigonal_counts(table)
+    return "unigonal counts", (816, 68592, 33480), (a2, chern.unigonal_double_point(table), a11)
 
 
 def _crit_chi10(table, basis):

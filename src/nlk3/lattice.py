@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import floordiv, itemgetter, mod, mul
+from operator import floordiv, mod, mul
 
 from ._inputs import Record, exact_int, exact_ints, text_number, text_rows
 
@@ -196,10 +196,7 @@ class IntegralLattice(Record):
         return self._hash
 
     def __reduce__(self):
-        # string hashes differ between processes, so _hash is not pickled; a
-        # standard lattice is rebuilt by name and keeps its summand route
-        if self._standard is not None:
-            return build_standard, self._standard
+        # string hashes differ between processes, so _hash is not pickled
         return IntegralLattice, (self.gram, self.labels)
 
     @property
@@ -321,35 +318,27 @@ def build_standard(name: str, g: int | None = None) -> IntegralLattice:
 
 
 @lru_cache(maxsize=len(_SUMMANDS))
-def _standard_template(name) -> tuple[IntegralLattice, tuple, tuple[tuple[int, int], ...], tuple, tuple]:
-    """(template, generators, planes, pairings, supports) of a standard name,
-    built once.
+def _standard_template(name) -> tuple[IntegralLattice, tuple[tuple[int, int], ...], tuple]:
+    """(template, planes, table) of a standard name, built once.
 
     The template is the name's lattice, validated; every lattice built under
     the name shares its rows, and a period lattice's w entry is 0.  The
-    generators are _snf_generators of the fixed summands (all but <-(2g-2)>),
-    the planes are hyperbolic_planes, and the pairings and supports are the
-    generators' _generator_tables: none of them depends on g.
+    planes are hyperbolic_planes, and the table is the _generator_table of
+    the fixed summands (all but <-(2g-2)>): none of them depends on g.
     """
     summands = _SUMMANDS[name]
     # a period lattice leads with w, its entry -(2g-2) left 0 here
     lead = ((((0,),), ("w",)),) if name in PERIOD_LATTICES else ()
     template = IntegralLattice(*_block_diagonal((*lead, *summands)))
-    # each summand's own Smith normal form, padded out to the whole rank at
-    # its offset (G is block diagonal, so G.v_i pads too), stable-sorted by
-    # invariant factor; a unimodular summand has every factor 1 and is not
-    # factored
-    n = template.rank
-    offset = len(lead)
-    gens = []
-    for gram, _ in summands:
+    # the group of an orthogonal sum is the sum of the summands' groups; a
+    # unimodular summand (U, E8neg) has none and is not factored, and no name
+    # holds more than one other summand (E7neg), whose table is the name's
+    table = ((), (), (), ())
+    for gram, names in summands:
         if abs(det(gram)) != 1:
-            head, tail = (0,) * offset, (0,) * (n - offset - len(gram))
-            for f, *vecs in _snf_generators(gram):
-                gens.append((f, *((*head, *x, *tail) for x in vecs)))
-        offset += len(gram)
-    gens.sort(key=itemgetter(0))
-    return template, tuple(gens), hyperbolic_planes(template), *_generator_tables(gens)
+            # the block starts where its first label does
+            table = _generator_table(gram, template.labels.index(names[0]), template.rank)
+    return template, hyperbolic_planes(template), table
 
 
 def hyperbolic_planes(l: IntegralLattice) -> tuple[tuple[int, int], ...]:
@@ -362,7 +351,7 @@ def hyperbolic_planes(l: IntegralLattice) -> tuple[tuple[int, int], ...]:
     other lattice is scanned on each call.
     """
     if l._standard is not None:
-        return _standard_template(l._standard[0])[2]
+        return _standard_template(l._standard[0])[1]
     n = l.rank
     planes = []
     for i, row in enumerate(l.gram):
@@ -416,27 +405,26 @@ class DiscElement(Record):
         return _order(self.factors, self.residues)
 
 
-def _snf_generators(gram) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
-    """(d_i, v_i, row i of u, G.v_i) for each invariant factor d_i > 1 of the
-    Smith normal form u*G*v = d of a Gram matrix, v_i being column i of v."""
+def _generator_table(gram, offset=0, rank=None) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+    """(factors, columns, pairings, supports) of the group of a Gram block
+    at this offset in a lattice of this rank (by default the block alone).
+
+    For each invariant factor d_i > 1 of the Smith normal form u*G*v = d:
+    d_i, column i of v padded to the rank, the pairings v_i.G.v_j, and row i
+    of u as its nonzero (index, entry) pairs, indexed in the whole lattice.
+    """
     d, u, v = smith_normal_form(gram)
     n = len(d)
     if any(d[i][i] == 0 for i in range(n)):
         raise ValueError("degenerate lattice has no discriminant group")
-    out = []
-    for i in range(n):
-        if d[i][i] > 1:
-            col = tuple(row[i] for row in v)
-            out.append((d[i][i], col, u[i], tuple(_mat_vec(gram, col))))
-    return tuple(out)
-
-
-def _generator_tables(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """(pairings, supports) of the (d_i, v_i, u-row i, G.v_i) of
-    _snf_generators: the matrix of v_i.G.v_j, and each u-row as its nonzero
-    (index, entry) pairs."""
-    pairings = tuple(tuple(_dot(ci, gcj) for _, _, _, gcj in gens) for _, ci, _, _ in gens)
-    return pairings, tuple(tuple((j, c) for j, c in enumerate(row) if c) for _, _, row, _ in gens)
+    keep = [i for i in range(n) if d[i][i] > 1]
+    cols = [tuple(row[i] for row in v) for i in keep]
+    gcols = [_mat_vec(gram, col) for col in cols]
+    head, tail = (0,) * offset, (0,) * ((rank or n) - offset - n)
+    padded = tuple((*head, *col, *tail) for col in cols)
+    pairings = tuple(tuple(_dot(ci, gcj) for gcj in gcols) for ci in cols)
+    supports = tuple(tuple((offset + j, c) for j, c in enumerate(u[i]) if c) for i in keep)
+    return tuple(d[i][i] for i in keep), padded, pairings, supports
 
 
 class DiscriminantGroup:
@@ -451,15 +439,14 @@ class DiscriminantGroup:
     stored as integers over N = D^2: order and q are integer rules on the
     residues, and no rank-length vector is formed for them.
 
-    A lattice from build_standard (but LambdaG/LambdaA1 at g = 2), or a copy
-    of one, is the orthogonal sum its (name, g) names, and its group is the
-    sum of its summands' groups: their own Smith normal forms give exactly
-    the nontrivial (d_i, v-columns, u-rows) of the full one, since the full
+    A lattice from build_standard (but LambdaG/LambdaA1 at g = 2) is the
+    orthogonal sum its (name, g) names, and its group is the sum of its
+    summands' groups: their own Smith normal forms give exactly the
+    nontrivial (d_i, v-columns, u-rows) of the full one, since the full
     elimination pivots the lone entry -(2g-2) last and runs the same steps
-    for every g >= 3.  The fixed summands' pairings v_i.G.v_j and u-row
-    supports come with the name, and only w's factor is added per g.  Every
-    other lattice takes the full Smith normal form, whose global pivot order
-    may interleave its summands.
+    for every g >= 3.  The fixed summands' table comes with the name, and
+    only w's row is added per g.  Every other lattice takes the full Smith
+    normal form, whose global pivot order may interleave its summands.
     """
 
     def __init__(self, lattice: IntegralLattice):
@@ -470,11 +457,10 @@ class DiscriminantGroup:
         # Gram and labels share one entry, so both would print w/2 or both
         # the full generator, by which of them was cached first
         if lattice._standard is None or lattice._standard[1] == 2:
-            gens = _snf_generators(lattice.gram)
-            pairings, supports = _generator_tables(gens)
+            factors, cols, pairings, supports = _generator_table(lattice.gram)
         else:
             name, g = lattice._standard
-            _, gens, _, pairings, supports = _standard_template(name)
+            factors, cols, pairings, supports = _standard_template(name)[2]
             if g is not None:
                 # <-(2g-2)> is its own Smith normal form, with u = (-1) and
                 # v = (1).  2g-2 >= 4 exceeds every fixed factor (E7neg's 2
@@ -482,16 +468,14 @@ class DiscriminantGroup:
                 # the fixed summands: its pairings are -(2g-2) with itself and
                 # 0 across, and its u-row is -1 at w
                 a = 2 * g - 2
-                zeros = (0,) * (lattice.rank - 1)
-                gens = (*gens, (a, (1, *zeros), (-1, *zeros), (-a, *zeros)))
+                factors += (a,)
+                cols += ((1,) + (0,) * (lattice.rank - 1),)
                 pairings = (*(row + (0,) for row in pairings), (0,) * len(pairings) + (-a,))
-                supports = (*supports, ((0, -1),))
+                supports += (((0, -1),),)
         self.lattice = lattice
-        self.factors = tuple(f for f, _, _, _ in gens)
-        self._cols = tuple(col for _, col, _, _ in gens)
         # row i of u, applied to G.y, reads off the i-th residue of y;
         # _class_of reads it through its nonzero (index, entry) pairs
-        self._supports = supports
+        self.factors, self._cols, self._supports = factors, cols, supports
         self._exponent = self.factors[-1] if self.factors else 1
         # d_i | d_j for i < j, so every d_i*d_j divides N
         self._den = self._exponent**2
@@ -678,7 +662,8 @@ def orthogonal_complement(l: IntegralLattice, vectors):
     emb = []
     for j in range(rank, l.rank):
         emb.append(tuple(v[i][j] for i in range(l.rank)))
-    gram = [[l.pairing(a, b) for b in emb] for a in emb]
+    gemb = [_mat_vec(l.gram, b) for b in emb]
+    gram = [[_dot(a, gb) for gb in gemb] for a in emb]
     comp = IntegralLattice(gram, tuple(f"c{i + 1}" for i in range(len(emb))))
     return comp, tuple(emb)
 

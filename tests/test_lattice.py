@@ -333,14 +333,16 @@ def block_diagonal_build(name, g=None):
     return IntegralLattice(*lattice._block_diagonal(blocks))
 
 
-def padded_summand_generators(name):
-    """(d, v-column, u-row, G.v) for each invariant factor d > 1 of each fixed
-    summand's own Smith normal form, padded at the summand's offset in
-    build_standard(name), then stable-sorted by d."""
+def padded_summand_table(name):
+    """(factors, columns, pairings, supports) of the fixed summands of
+    build_standard(name): each invariant factor d > 1 of each summand's own
+    Smith normal form, with its v-column and u-row padded at the summand's
+    offset, stable-sorted by d; the columns' pairings, each a dense product
+    over the whole Gram, and each u-row's nonzero (index, entry) pairs."""
     grams = [gram for gram, _ in lattice._SUMMANDS[name]]
     offset = int(name in lattice.PERIOD_LATTICES)
     n = offset + sum(map(len, grams))
-    out = []
+    gens = []
     for gram in grams:
         d, u, v = smith_normal_form(gram)
 
@@ -349,10 +351,28 @@ def padded_summand_generators(name):
 
         for i in range(len(gram)):
             if d[i][i] > 1:
-                col = [row[i] for row in v]
-                out.append((d[i][i], pad(col), pad(u[i]), pad(dense_mat_vec(gram, col))))
+                gens.append((d[i][i], pad(row[i] for row in v), pad(u[i])))
         offset += len(gram)
-    return tuple(sorted(out, key=lambda t: t[0]))
+    gens.sort(key=lambda t: t[0])
+    whole = block_diagonal_build(name, 3 if name in lattice.PERIOD_LATTICES else None).gram
+    cols = tuple(col for _, col, _ in gens)
+    return (
+        tuple(f for f, _, _ in gens),
+        cols,
+        tuple(tuple(sum(map(mul, ci, dense_mat_vec(whole, cj))) for cj in cols) for ci in cols),
+        tuple(tuple((j, c) for j, c in enumerate(row) if c) for _, _, row in gens),
+    )
+
+
+def test_each_standard_name_has_at_most_one_factored_summand():
+    # a standard name's group table is that of its one summand whose
+    # determinant is not +-1 (E7neg), if it has one
+    for name, summands in lattice._SUMMANDS.items():
+        assert sum(abs(det(gram)) != 1 for gram, _ in summands) <= 1, name
+    assert [name for name, summands in lattice._SUMMANDS.items() if lattice._standard_template(name)[2][0]] == [
+        "LambdaA1",
+        "E7neg",
+    ]
 
 
 @pytest.mark.parametrize("name,g", list(standard_lattices([*range(2, 201), 10**6, 10**7])))
@@ -362,15 +382,18 @@ def test_build_standard_equals_block_diagonal_assembly(name, g):
     l = build_standard(name, g=g)
     expected = block_diagonal_build(name, g)
     assert (l.gram, l.labels, hash(l), l._standard) == (expected.gram, expected.labels, hash(expected), (name, g))
-    template, generators, planes, _, _ = lattice._standard_template(name)
-    assert generators == padded_summand_generators(name)
+    template, planes, table = lattice._standard_template(name)
+    assert table == padded_summand_table(name)
     assert planes == lattice.hyperbolic_planes(template)
     assert type(l) is IntegralLattice and {type(x) for row in l.gram for x in row} == {int}
     assert l == expected and expected._standard is None
-    # a copy is rebuilt by name, so it keeps the summand route
+    # a copy is a plain value: equal, hashing equal, and with the same group
+    # from the full Smith normal form
+    grp = DiscriminantGroup(l)
     for copy in (pickle.loads(pickle.dumps(l)), deepcopy(l)):
         assert copy == l and hash(copy) == hash(l)
-        assert copy._standard == (name, g)
+        copy_grp = DiscriminantGroup(copy)
+        assert (copy_grp.factors, copy_grp.lifts) == (grp.factors, grp.lifts)
 
 
 def test_standard_lattices_share_their_constant_rows():
@@ -515,17 +538,17 @@ def test_lattice_pickled_in_another_process_hashes_equal(monkeypatch):
     assert loaded == here
     assert hash(loaded) == hash(here)
     assert {loaded: 1}[here] == 1
-    # the copy is rebuilt by name: its group comes from the summands, with
-    # no full Smith normal form, and equals the original's
+    # the copy is a plain value: its group comes from the full Smith normal
+    # form, and equals the original's
     grp = DiscriminantGroup(here)
     ranks = recorded_snf_ranks(monkeypatch)
     copy_grp = DiscriminantGroup(loaded)
-    assert ranks == []
+    assert ranks == [20]
     assert (copy_grp.factors, copy_grp.lifts) == (grp.factors, grp.lifts)
-    # at g = 2 the summand route does not apply, and a copy takes the full form
+    # so does a copy at g = 2, where the summand route does not apply
     genus2 = pickle.loads(pickle.dumps(build_standard("LambdaG", g=2)))
     DiscriminantGroup(genus2)
-    assert ranks == [21]
+    assert ranks == [20, 21]
 
 
 def test_non_integral_entries_raise():

@@ -14,6 +14,7 @@ import pytest
 from nlk3.lattice import (
     STANDARD_NAMES,
     DiscElement,
+    DiscriminantGroup,
     IntegralLattice,
     LatticeVector,
     build_standard,
@@ -257,7 +258,11 @@ def test_u_blocks_match_reference_on_standard_lattices(name):
         plain = IntegralLattice(l.gram, l.labels)
         copy = pickle.loads(pickle.dumps(l))
         assert plain == l == copy and hash(plain) == hash(l) == hash(copy)
-        assert vars(copy) == vars(l) and set(vars(l)) == {"gram", "labels", "_hash", "_standard"}
+        # the copy is a plain value, whose group takes the full Smith normal
+        # form: it has the same factors and lifts
+        assert set(vars(l)) == {"gram", "labels", "_hash", "_standard"} and copy._standard is None
+        grp, copy_grp = DiscriminantGroup(l), DiscriminantGroup(copy)
+        assert (copy_grp.factors, copy_grp.lifts) == (grp.factors, grp.lifts)
         assert hyperbolic_planes(copy) == hyperbolic_planes(plain) == reference_u_blocks(l)
     shared = [hyperbolic_planes(build_standard(name, g=g)) for g in genera]
     assert all(blocks is shared[0] for blocks in shared)
