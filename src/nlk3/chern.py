@@ -173,7 +173,8 @@ def unigonal_double_point(table: UnigonalTable) -> int:
 
 
 def unigonal_counts(table: UnigonalTable) -> tuple[int, int]:
-    """(cuspidal, binodal) counts; the double-point degree must be even."""
+    """(cuspidal, binodal) counts (a2, a11), a11 = dd/2 - a2 for the
+    double-point degree dd, which must be even; so dd = 2*(a2 + a11)."""
     a2 = unigonal_a2(table)
     dd = unigonal_double_point(table)
     if dd % 2 != 0:

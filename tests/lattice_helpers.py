@@ -1,7 +1,9 @@
 """Lattice constructions and references the tests build fixtures and
 checks with; nlk3 itself needs none of them."""
 
-from nlk3.lattice import IntegralLattice, smith_normal_form
+from fractions import Fraction
+
+from nlk3.lattice import IntegralLattice, build_standard, smith_normal_form
 
 
 def to_text(l: IntegralLattice) -> str:
@@ -16,9 +18,24 @@ def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
     return IntegralLattice(gram, a.labels + b.labels)
 
 
-def snf_u_rows(l: IntegralLattice) -> list[tuple[int, ...]]:
-    """The rows of u in the Smith normal form u*G*v = d of the Gram at the
-    invariant factors above 1: row i applied to G.y gives the i-th residue
+def noncyclic_lattice() -> IntegralLattice:
+    """U^2 + <-4> + <-6>: discriminant group Z/2 x Z/12, not cyclic."""
+    u = build_standard("U")
+    return direct_sum(direct_sum(u, u), IntegralLattice([[-4, 0], [0, -6]], ("a", "b")))
+
+
+def full_snf_group(l: IntegralLattice):
+    """(factors, lifts, generator Gram over N, u-rows) straight from the Smith
+    normal form u*G*v = d of the whole Gram matrix, at the d_i > 1: lift i is
+    column i of v over d_i, and u-row i applied to G.y gives the i-th residue
     of the dual vector y."""
-    d, u, _ = smith_normal_form(l.gram)
-    return [row for i, row in enumerate(u) if d[i][i] > 1]
+    d, u, v = smith_normal_form(l.gram)
+    positions = [i for i in range(l.rank) if d[i][i] > 1]
+    factors = tuple(d[i][i] for i in positions)
+    cols = [[v[r][i] for r in range(l.rank)] for i in positions]
+    lifts = tuple(tuple(Fraction(c, f) for c in col) for col, f in zip(cols, factors))
+    big = factors[-1] ** 2 if factors else 1
+    gram = tuple(
+        tuple(l.pairing(ci, cj) * big // (fi * fj) for cj, fj in zip(cols, factors)) for ci, fi in zip(cols, factors)
+    )
+    return factors, lifts, gram, [u[i] for i in positions]

@@ -21,7 +21,7 @@ import nlk3
 from nlk3 import chern, cli, lattice, nldiv, orbits, siegel
 from nlk3.lattice import STANDARD_NAMES, IntegralLattice, build_standard, smith_normal_form
 
-from lattice_helpers import direct_sum, to_text
+from lattice_helpers import direct_sum, noncyclic_lattice, to_text
 
 
 def run_cli(capsys, *args):
@@ -244,16 +244,18 @@ def _disc_pin_files():
     yield direct_sum(u, e7)
     yield IntegralLattice([[-4, 0, 0], [0, -4, 0], [0, 0, -2]])
     yield direct_sum(IntegralLattice([[-2]], ("w",)), e8)
-    yield direct_sum(direct_sum(u, u), IntegralLattice([[-4, 0], [0, -6]], ("a", "b")))
+    yield noncyclic_lattice()
 
 
-def _disc_pin_commands():
+def _disc_pin_commands(monkeypatch):
+    # a file lattice's text is set as stdin just before its command runs
     for fmt in ("json", "tsv"):
         for name in ("LambdaG", "LambdaA1"):
             for g in (2, 3, 4, 5, 10**6):
-                yield None, ("--format", fmt, "lattice", "disc", "--standard", name, "--g", str(g))
+                yield ("--format", fmt, "lattice", "disc", "--standard", name, "--g", str(g))
         for lat in _disc_pin_files():
-            yield to_text(lat), ("--format", fmt, "lattice", "disc", "--file", "-")
+            monkeypatch.setattr("sys.stdin", io.StringIO(to_text(lat)))
+            yield ("--format", fmt, "lattice", "disc", "--file", "-")
 
 
 # sha256 of the exit code and stdout of each `lattice disc` above, in order:
@@ -263,14 +265,7 @@ DISC_STDOUT_SHA256 = "b634d3463ca613cc334ad84ca1f094456dcc12e8f5da3c4cc54e14052b
 
 
 def test_lattice_disc_stdout_sha256(capsys, monkeypatch):
-    digest = hashlib.sha256()
-    for text, args in _disc_pin_commands():
-        if text is not None:
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        code, out, _ = run_cli(capsys, *args)
-        digest.update(f"{code}\n".encode())
-        digest.update(out.encode())
-    assert digest.hexdigest() == DISC_STDOUT_SHA256
+    assert _exit_stdout_sha256(capsys, _disc_pin_commands(monkeypatch)) == (DISC_STDOUT_SHA256, {0})
 
 
 def test_lattice_source_validation(capsys):
@@ -485,15 +480,7 @@ TRIANGULAR_STDOUT_SHA256 = "11b686c9dffc1eb528fc0d0fe4375d7f17a938bd3e3b8b1c2f2e
 
 
 def test_triangular_stdout_sha256(capsys):
-    digest = hashlib.sha256()
-    codes = set()
-    for args in _triangular_commands():
-        code, out, _ = run_cli(capsys, *args)
-        codes.add(code)
-        digest.update(f"{code}\n".encode())
-        digest.update(out.encode())
-    assert codes == {0, 2}
-    assert digest.hexdigest() == TRIANGULAR_STDOUT_SHA256
+    assert _exit_stdout_sha256(capsys, _triangular_commands()) == (TRIANGULAR_STDOUT_SHA256, {0, 2})
 
 
 def test_vector_data_rejects_nonnegative_discriminant(capsys):
@@ -642,12 +629,7 @@ SIEGEL_STDOUT_SHA256 = "8a3a9b9af4f85afd0111708011e34b445d36d1678fb1dd81e395df9e
 
 
 def test_siegel_stdout_sha256(capsys):
-    digest = hashlib.sha256()
-    for args in _siegel_commands():
-        code, out, _ = run_cli(capsys, *args)
-        digest.update(f"{code}\n".encode())
-        digest.update(out.encode())
-    assert digest.hexdigest() == SIEGEL_STDOUT_SHA256
+    assert _exit_stdout_sha256(capsys, _siegel_commands()) == (SIEGEL_STDOUT_SHA256, {0})
 
 
 @pytest.mark.parametrize(
@@ -821,6 +803,19 @@ def test_verify_reads_each_shipped_table_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--all")
     assert code == 0
     assert read == {"chi10_exponents.tbl": 1, "e4.tbl": 1, "e6.tbl": 1, "unigonal.tbl": 1}
+
+
+def test_double_point_is_evaluated_once_per_count(capsys, monkeypatch):
+    # criterion 2 and enum unigonal print 2*(a2 + a11) from their one
+    # unigonal_counts call; criterion 5 counts on its own, since criteria
+    # also run one at a time
+    calls = Counter()
+    real = chern.unigonal_double_point
+    monkeypatch.setattr(chern, "unigonal_double_point", lambda table: calls.update(["dd"]) or real(table))
+    for args, want in ((("verify", "--criterion", "2"), 1), (("enum", "unigonal"), 1), (("verify", "--all"), 2)):
+        calls.clear()
+        assert run_cli(capsys, *args)[0] == 0
+        assert calls["dd"] == want, args
 
 
 def _wrap(monkeypatch, owner, name, when, fault):
@@ -1011,16 +1006,24 @@ def test_a_command_builds_only_its_branch(monkeypatch, capsys):
         cli._build_parser.cache_clear()
 
 
-def test_caches_are_bounded():
-    maxsizes = {}
+def lru_caches():
+    """Each lru_cache of nlk3, keyed by the cache, under the first
+    `module.name` that holds it (orbits imports lattice's discriminant_group);
+    CI's "Code lines" step prints them."""
+    caches = {}
     for info in pkgutil.iter_modules(nlk3.__path__):
         module = import_module(f"nlk3.{info.name}")
         for owner in (module, *(c for c in vars(module).values() if isinstance(c, type))):
             for name, obj in vars(owner).items():
                 if hasattr(obj, "cache_parameters"):
-                    maxsizes[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
-    assert {"lattice.discriminant_group", "orbits._class_table", "cli._build_parser"} <= set(maxsizes)
-    assert all(size is not None for size in maxsizes.values()), maxsizes
+                    caches.setdefault(obj, f"{info.name}.{name}")
+    return caches
+
+
+def test_caches_are_bounded():
+    caches = lru_caches()
+    assert {"lattice.discriminant_group", "orbits._class_table", "cli._build_parser"} <= set(caches.values())
+    assert all(cache.cache_parameters()["maxsize"] is not None for cache in caches), caches
 
 
 # sha256 of ",".join(nlk3.__all__): the 58 imported public names in import

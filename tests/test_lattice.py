@@ -37,7 +37,7 @@ from nlk3.nldiv import NLKey
 from nlk3.orbits import eichler_candidates, locus_lattice, nl_component_count
 from nlk3.siegel import GenusTwoSeries, HalfIntegralTable, binomial_pow, chi10, default_chi10_exponents
 
-from lattice_helpers import direct_sum, snf_u_rows, to_text
+from lattice_helpers import direct_sum, full_snf_group, noncyclic_lattice, to_text
 
 
 def mat_mul(a, b):
@@ -714,21 +714,6 @@ def test_disc_group_factors():
     assert discriminant_group(build_standard("K3")).factors == ()
 
 
-def full_snf_group(l):
-    """(factors, lifts, generator Gram over N, u-rows) straight from the Smith
-    normal form u*G*v = d of the whole Gram matrix."""
-    d, u, v = smith_normal_form(l.gram)
-    positions = [i for i in range(l.rank) if d[i][i] > 1]
-    factors = tuple(d[i][i] for i in positions)
-    cols = [[v[r][i] for r in range(l.rank)] for i in positions]
-    lifts = tuple(tuple(Fraction(c, f) for c in col) for col, f in zip(cols, factors))
-    big = factors[-1] ** 2 if factors else 1
-    gram = tuple(
-        tuple(l.pairing(ci, cj) * big // (fi * fj) for cj, fj in zip(cols, factors)) for ci, fi in zip(cols, factors)
-    )
-    return factors, lifts, gram, [u[i] for i in positions]
-
-
 SUMMAND_GENERA = [*range(2, 401), 10**3, 10**6, 10**7]
 
 
@@ -978,7 +963,7 @@ def test_internal_elements_equal_the_checked_constructor(name, g):
     for n in (0, 2, -6):
         for x in islice(grp.elements(n), 40):
             assert_checked(x, x.residues)
-    rows = snf_u_rows(l)
+    rows = full_snf_group(l)[3]
     for _ in range(40):
         gy = [rng.randint(-50, 50) for _ in range(l.rank)]
         assert_checked(grp._class_of(gy), [sum(map(mul, row, gy)) for row in rows])
@@ -1006,20 +991,6 @@ def test_generator_lifts_map_to_unit_residues():
             assert x.residues == expected
 
 
-def fraction_lifts(l):
-    """(factors, lifts) by the definition: column i of v over d_i, at the d_i > 1."""
-    d, _, v = smith_normal_form(l.gram)
-    positions = [i for i in range(l.rank) if d[i][i] > 1]
-    lifts = tuple(tuple(Fraction(v[r][i], d[i][i]) for r in range(l.rank)) for i in positions)
-    return tuple(d[i][i] for i in positions), lifts
-
-
-def noncyclic_lattice():
-    """U^2 + <-4> + <-6>: discriminant group Z/2 x Z/12, not cyclic."""
-    u = build_standard("U")
-    return direct_sum(direct_sum(u, u), IntegralLattice([[-4, 0], [0, -6]], ("a", "b")))
-
-
 LIFT_CASES = [("E7neg", None), ("LambdaG", 7), ("LambdaA1", 6), ("LambdaA1", 7), ("Uperp", None), ("K3", None), ("noncyclic", None)]
 
 
@@ -1034,7 +1005,7 @@ def test_lifts_match_fraction_definition(name, g):
     l = lift_case(name, g)
     grp = DiscriminantGroup(l)
     assert "lifts" not in vars(grp)  # computed on each read
-    factors, lifts = fraction_lifts(l)
+    factors, lifts, _, _ = full_snf_group(l)
     assert grp.factors == factors
     assert grp.lifts == lifts
     for x in grp.elements():

@@ -25,7 +25,6 @@ from nlk3.lattice import (
     dual_class,
     hyperbolic_planes,
     is_primitive,
-    smith_normal_form,
 )
 from nlk3.orbits import (
     LOCI,
@@ -39,7 +38,7 @@ from nlk3.orbits import (
     nl_component_count,
 )
 
-from lattice_helpers import direct_sum, snf_u_rows, to_text
+from lattice_helpers import direct_sum, full_snf_group, noncyclic_lattice, to_text
 
 
 def _elem(l, coords):
@@ -187,7 +186,7 @@ def test_candidates_match_full_group_scan_on_file_lattices():
         l = from_text(to_text(IntegralLattice([[s.gram[i][j] for j in perm] for i in perm])))
         assert l._standard is None
         grp = discriminant_group(l)
-        dense += any(sum(map(bool, row)) > 1 for row in snf_u_rows(l))
+        dense += any(sum(map(bool, row)) > 1 for row in full_snf_group(l)[3])
         q_values = _lift_q_values(l)
         for norm in (-2, -6, -10):
             cands = eichler_candidates(l, norm)
@@ -416,17 +415,6 @@ def test_witness_for_every_candidate():
     assert failures == []
 
 
-def _fraction_lift(l, x):
-    """lift(x) by the definition: sum of a_i * (column i of v)/d_i, at the d_i > 1."""
-    d, _, v = smith_normal_form(l.gram)
-    positions = [i for i in range(l.rank) if d[i][i] > 1]
-    out = [Fraction(0)] * l.rank
-    for a, i in zip(x.residues, positions):
-        for r in range(l.rank):
-            out[r] += a * Fraction(v[r][i], d[i][i])
-    return out
-
-
 def reference_find_witness(l, cand):
     """find_witness with the Fraction start d*(lift % 1) and the separate
     norm, divisibility and class checks, as first shipped."""
@@ -443,7 +431,9 @@ def reference_find_witness(l, cand):
     x = cand.dual_class
     if x.order() != d:
         return None
-    dy = [int(d * (c % 1)) for c in _fraction_lift(l, x)]
+    lifts = full_snf_group(l)[1]
+    lift = [sum((a * col[r] for a, col in zip(x.residues, lifts)), Fraction(0)) for r in range(l.rank)]
+    dy = [int(d * (c % 1)) for c in lift]
     b, rem = divmod(cand.norm - l.norm(dy), 2 * d * d)
     if rem:
         return None
@@ -456,15 +446,9 @@ def reference_find_witness(l, cand):
     return LatticeVector(dy) if validates(dy) else None
 
 
-def _noncyclic_lattice():
-    # U^2 + <-4> + <-6>: discriminant group Z/2 x Z/12
-    u = build_standard("U")
-    return direct_sum(direct_sum(u, u), IntegralLattice([[-4, 0], [0, -6]], ("a", "b")))
-
-
 def test_witness_matches_fraction_reference():
     lattices = [build_standard(name, g=g) for name in ("LambdaG", "LambdaA1") for g in range(3, 17)]
-    lattices += [_noncyclic_lattice(), build_standard("Uperp")]
+    lattices += [noncyclic_lattice(), build_standard("Uperp")]
     count = 0
     for l in lattices:
         for norm in (-2, -4, -6, -10, -12, -30):
