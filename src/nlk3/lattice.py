@@ -374,7 +374,7 @@ def _order(factors, residues) -> int:
 
 class DiscElement(Record):
     """Element of a discriminant group, as residues (a tuple of ints) over
-    the invariant factors (a tuple of ints)."""
+    the invariant factors (a tuple of ints, each at least 1)."""
 
     _fields = ("factors", "residues")
 
@@ -382,6 +382,8 @@ class DiscElement(Record):
         factors, residues = exact_ints(factors), exact_ints(residues)
         if len(residues) != len(factors):
             raise ValueError(f"{len(residues)} residues for {len(factors)} invariant factors")
+        if factors and min(factors) < 1:
+            raise ValueError(f"invariant factor {min(factors)} is below 1")
         vars(self).update(factors=factors, residues=tuple(map(mod, residues, factors)))
 
     def __add__(self, other):

@@ -155,8 +155,8 @@ def _binomial_terms(r: int, s: int, t: int, c: int, tk: int, tm: int, tl: int) -
 
 class HalfIntegralTable(Record):
     """Exponents c(m) of the product expansion, as a dict m -> nonzero c(m)
-    and the largest m it covers; c(m) = 0 for m < -1 and the pole
-    coefficient c(-1) is pinned to 2."""
+    and the largest m it covers, which is the largest m listed, zero or not;
+    c(m) = 0 for m < -1 and the pole coefficient c(-1) is pinned to 2."""
 
     _fields = ("values", "support_max")
 
@@ -166,11 +166,10 @@ class HalfIntegralTable(Record):
             m, c = exact_int(m), exact_int(c)
             if m < -1:
                 raise ValueError(f"exponent c({m}) below the pole order")
-            if c != 0:
-                vals[m] = c
+            vals[m] = c
         if vals.get(-1) != 2:
             raise ValueError("pole coefficient c(-1) must be 2")
-        vars(self).update(values=vals, support_max=max(vals))
+        vars(self).update(values={m: c for m, c in vals.items() if c}, support_max=max(vals))
 
     def c(self, m: int) -> int:
         m = exact_int(m)

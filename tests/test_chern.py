@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from nlk3 import chern
 from nlk3.chern import (
     P2Class,
     SurfaceChernData,
@@ -261,3 +262,36 @@ def test_unigonal_a2_is_linear_in_the_table(c):
     t = default_unigonal_table()
     scaled = UnigonalTable(**{n: c * getattr(t, n) for n in ("a1", "a2", "a3", "a1sq", "a1a2", "delta")})
     assert unigonal_a2(scaled) == c * 816
+
+
+# the two classes as first shipped, each written out in full: the double
+# point repeats the cuspidal terms with their signs flipped
+B2 = 3 * ZETA * ZETA
+
+
+def _shipped_cuspidal(t):
+    return 4 * t.a1 * B1 * B1 + 2 * (t.a1sq + t.a2) * B1 - 2 * t.a1 * B2 + 2 * t.a1a2
+
+
+def _shipped_double_point(t):
+    return (
+        t.delta * t.delta
+        - B1 * t.delta
+        + (-2 * t.a1a2 - t.a3 - 2 * (t.a1sq + t.a2) * B1 + t.a1 * (-4 * B1 * B1 + 3 * B2))
+    )
+
+
+def _assert_shipped_classes(t):
+    # whole classes, not only their degrees
+    cusp = chern._cuspidal_class(t)
+    assert cusp == _shipped_cuspidal(t)
+    assert chern._double_point_class(t, cusp) == _shipped_double_point(t)
+
+
+def test_unigonal_classes_equal_the_shipped_formulas():
+    _assert_shipped_classes(default_unigonal_table())
+
+
+@given(st.builds(UnigonalTable, **{name: classes for name in TABLE_CLASSES}))
+def test_unigonal_classes_equal_the_shipped_formulas_on_rational_tables(t):
+    _assert_shipped_classes(t)

@@ -937,6 +937,11 @@ def test_disc_element_checks_and_reduces_its_residues():
         DiscElement((2, 10), (1, 2.5))
     with pytest.raises(ValueError, match=r"^non-integral entry 2\.5$"):
         DiscElement((2.5, 10), (1, 2))
+    # a factor below 1 would divide by zero or store a negative residue
+    with pytest.raises(ValueError, match="^invariant factor 0 is below 1$"):
+        DiscElement((0,), (1,))
+    with pytest.raises(ValueError, match="^invariant factor -3 is below 1$"):
+        DiscElement((-3,), (1,))
     cases = {(-3, -13): (1, 7), (True, False): (1, 0), (-1, True): (1, 1), (4.0, Fraction(24, 2)): (0, 2)}
     for residues, reduced in cases.items():
         x = DiscElement((2, 10), residues)

@@ -275,6 +275,13 @@ def test_exponent_table_exhaustion():
     t = default_chi10_exponents()
     with pytest.raises(ValueError, match="exhausted.*9"):
         t.c(9)
+    # a listed zero is stated, so it widens the support as in loads_coeff_table
+    rows = "".join(f"{m} {c}\n" for m, c in t.values.items())
+    widened = loads_half_integral(rows + "9 0\n10 0\n")
+    assert widened.support_max == 10 and widened.values == t.values
+    assert widened.c(9) == widened.c(10) == 0
+    with pytest.raises(ValueError, match=r"exhausted: c\(11\) .*\(max 10\)"):
+        widened.c(11)
 
 
 def test_exponent_table_pins_pole_coefficient():
