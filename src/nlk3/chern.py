@@ -37,6 +37,8 @@ class P2Class(Record):
         return _as_class(other) + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return P2Class._trusted(self.c0 * other, self.c1 * other, self.c2 * other)
         o = _as_class(other)
         return P2Class._trusted(
             self.c0 * o.c0,
@@ -146,42 +148,34 @@ _BETA2 = 3 * ZETA * ZETA
 
 def _cuspidal_class(table: UnigonalTable) -> P2Class:
     """The cuspidal class C = 4 a1 beta1^2 + 2 (a1^2 + a2) beta1 - 2 a1 beta2
-    + 2 a1 a2, for beta1 = 3z and beta2 = 3z^2, with its common factor 2
-    taken out: an int factor costs a whole product of classes."""
-    return 2 * (2 * table.a1 * _BETA1 * _BETA1 + (table.a1sq + table.a2) * _BETA1 - table.a1 * _BETA2 + table.a1a2)
+    + 2 a1 a2, for beta1 = 3z and beta2 = 3z^2."""
+    return 4 * table.a1 * _BETA1 * _BETA1 + 2 * (table.a1sq + table.a2) * _BETA1 - 2 * table.a1 * _BETA2 + 2 * table.a1a2
 
 
-def _double_point_class(table: UnigonalTable, cusp: P2Class) -> P2Class:
-    """The double-point class of unigonal_double_point, given the table's
-    cuspidal class C."""
-    return (table.delta - _BETA1) * table.delta - table.a3 + table.a1 * _BETA2 - cusp
+def _double_point_class(table: UnigonalTable) -> P2Class:
+    """The double-point class delta^2 - beta1 delta - a3 + a1 beta2 - C, for
+    the cuspidal class C."""
+    delta = table.delta
+    return delta * delta - _BETA1 * delta - table.a3 + table.a1 * _BETA2 - _cuspidal_class(table)
 
 
-# unigonal_counts forms the cuspidal class once and passes it to both counts
-# as the private keyword _cusp (the idiom of Fraction's _normalize); it must
-# be the table's own C
-
-
-def unigonal_a2(table: UnigonalTable, *, _cusp: P2Class | None = None) -> int:
+def unigonal_a2(table: UnigonalTable) -> int:
     """Cuspidal member count of the unigonal family: the degree of the
     cuspidal class C."""
-    return _int_degree(_cuspidal_class(table) if _cusp is None else _cusp, "cuspidal count")
+    return _int_degree(_cuspidal_class(table), "cuspidal count")
 
 
-def unigonal_double_point(table: UnigonalTable, *, _cusp: P2Class | None = None) -> int:
+def unigonal_double_point(table: UnigonalTable) -> int:
     """Degree of the double-point cycle of the unigonal family: the degree of
     delta^2 - beta1 delta - a3 + a1 beta2 - C for the cuspidal class C."""
-    cusp = _cuspidal_class(table) if _cusp is None else _cusp
-    return _int_degree(_double_point_class(table, cusp), "double-point cycle")
+    return _int_degree(_double_point_class(table), "double-point cycle")
 
 
 def unigonal_counts(table: UnigonalTable) -> tuple[int, int]:
     """(cuspidal, binodal) counts (a2, a11), a11 = dd/2 - a2 for the
-    double-point degree dd, which must be even; so dd = 2*(a2 + a11).  Both
-    degrees read one cuspidal class C, formed once."""
-    cusp = _cuspidal_class(table)
-    a2 = unigonal_a2(table, _cusp=cusp)
-    dd = unigonal_double_point(table, _cusp=cusp)
+    double-point degree dd, which must be even; so dd = 2*(a2 + a11)."""
+    a2 = unigonal_a2(table)
+    dd = unigonal_double_point(table)
     if dd % 2 != 0:
         raise ValueError(f"double-point degree {dd} is odd: cannot halve into unordered pairs")
     return a2, dd // 2 - a2

@@ -382,8 +382,9 @@ class DiscElement(Record):
         factors, residues = exact_ints(factors), exact_ints(residues)
         if len(residues) != len(factors):
             raise ValueError(f"{len(residues)} residues for {len(factors)} invariant factors")
-        if factors and min(factors) < 1:
-            raise ValueError(f"invariant factor {min(factors)} is below 1")
+        for d in factors:
+            if d < 1:
+                raise ValueError(f"invariant factor {d} is below 1")
         vars(self).update(factors=factors, residues=tuple(map(mod, residues, factors)))
 
     def __add__(self, other):

@@ -283,9 +283,8 @@ def _shipped_double_point(t):
 
 def _assert_shipped_classes(t):
     # whole classes, not only their degrees
-    cusp = chern._cuspidal_class(t)
-    assert cusp == _shipped_cuspidal(t)
-    assert chern._double_point_class(t, cusp) == _shipped_double_point(t)
+    assert chern._cuspidal_class(t) == _shipped_cuspidal(t)
+    assert chern._double_point_class(t) == _shipped_double_point(t)
 
 
 def test_unigonal_classes_equal_the_shipped_formulas():

@@ -807,16 +807,15 @@ def test_verify_reads_each_shipped_table_once(capsys, monkeypatch):
 
 def test_double_point_is_evaluated_once_per_count(capsys, monkeypatch):
     # criterion 2 and enum unigonal print 2*(a2 + a11) from their one
-    # unigonal_counts call, which forms the cuspidal class once for both
-    # degrees; criterion 5 counts on its own, since criteria also run one at
-    # a time
+    # unigonal_counts call; criterion 5 counts on its own, since criteria
+    # also run one at a time
     calls = Counter()
-    real = chern._cuspidal_class
-    monkeypatch.setattr(chern, "_cuspidal_class", lambda table: calls.update(["cusp"]) or real(table))
+    real = chern.unigonal_double_point
+    monkeypatch.setattr(chern, "unigonal_double_point", lambda table: calls.update(["dd"]) or real(table))
     for args, want in ((("verify", "--criterion", "2"), 1), (("enum", "unigonal"), 1), (("verify", "--all"), 2)):
         calls.clear()
         assert run_cli(capsys, *args)[0] == 0
-        assert calls["cusp"] == want, args
+        assert calls["dd"] == want, args
 
 
 def _wrap(monkeypatch, owner, name, when, fault):
