@@ -20,9 +20,7 @@ from nlk3.chern import (
     loads_unigonal,
     net_counts,
     net_invariants,
-    unigonal_a2,
     unigonal_counts,
-    unigonal_double_point,
 )
 from nlk3.lattice import (
     DiscElement,

@@ -37,8 +37,6 @@ class P2Class(Record):
         return _as_class(other) + (-self)
 
     def __mul__(self, other):
-        if type(other) is int:
-            return P2Class._trusted(self.c0 * other, self.c1 * other, self.c2 * other)
         o = _as_class(other)
         return P2Class._trusted(
             self.c0 * o.c0,
@@ -152,30 +150,20 @@ def _cuspidal_class(table: UnigonalTable) -> P2Class:
     return 4 * table.a1 * _BETA1 * _BETA1 + 2 * (table.a1sq + table.a2) * _BETA1 - 2 * table.a1 * _BETA2 + 2 * table.a1a2
 
 
-def _double_point_class(table: UnigonalTable) -> P2Class:
+def _double_point_class(table: UnigonalTable, cusp: P2Class) -> P2Class:
     """The double-point class delta^2 - beta1 delta - a3 + a1 beta2 - C, for
-    the cuspidal class C."""
+    the cuspidal class C of the table."""
     delta = table.delta
-    return delta * delta - _BETA1 * delta - table.a3 + table.a1 * _BETA2 - _cuspidal_class(table)
-
-
-def unigonal_a2(table: UnigonalTable) -> int:
-    """Cuspidal member count of the unigonal family: the degree of the
-    cuspidal class C."""
-    return _int_degree(_cuspidal_class(table), "cuspidal count")
-
-
-def unigonal_double_point(table: UnigonalTable) -> int:
-    """Degree of the double-point cycle of the unigonal family: the degree of
-    delta^2 - beta1 delta - a3 + a1 beta2 - C for the cuspidal class C."""
-    return _int_degree(_double_point_class(table), "double-point cycle")
+    return delta * delta - _BETA1 * delta - table.a3 + table.a1 * _BETA2 - cusp
 
 
 def unigonal_counts(table: UnigonalTable) -> tuple[int, int]:
-    """(cuspidal, binodal) counts (a2, a11), a11 = dd/2 - a2 for the
-    double-point degree dd, which must be even; so dd = 2*(a2 + a11)."""
-    a2 = unigonal_a2(table)
-    dd = unigonal_double_point(table)
+    """(cuspidal, binodal) counts (a2, a11) of the unigonal family. a2 is the
+    degree of the cuspidal class C; a11 = dd/2 - a2 for the degree dd of the
+    double-point class, which must be even; so dd = 2*(a2 + a11)."""
+    cusp = _cuspidal_class(table)
+    a2 = _int_degree(cusp, "cuspidal count")
+    dd = _int_degree(_double_point_class(table, cusp), "double-point cycle")
     if dd % 2 != 0:
         raise ValueError(f"double-point degree {dd} is odd: cannot halve into unordered pairs")
     return a2, dd // 2 - a2

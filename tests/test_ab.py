@@ -123,3 +123,26 @@ def test_both_sides_of_a_seed_run_from_paths_of_one_length(tmp_path, monkeypatch
     ]
     assert [copy for copy, _, trace in ran if trace] == [ab.copy_dir(work, side, 1) for side in ab.SIDES]
     assert json.loads(out.read_text(encoding="utf-8"))["workloads"]["reproduce"]["wins"]["wall_s"] == "0/4"
+
+
+def test_pairs_below_one_is_a_usage_error_before_any_copy(tmp_path, monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(ab, "subprocess", SimpleNamespace(run=lambda *args, **kwargs: SimpleNamespace(stdout="repo\n")))
+    monkeypatch.setattr(ab, "archive", lambda repo, rev, dest: made.append(dest) or rev)
+    for pairs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_:
+            ab.main(["--parent", "p", "--change", "c", "--pairs", pairs, "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "ab.json")])
+        assert exit_.value.code == 2
+        assert f"argument --pairs: must be at least 1, got {pairs}" in capsys.readouterr().err
+    assert made == []
+
+
+@pytest.mark.parametrize("stdout", ["", "\n", "trace line\n", '{"metrics": \n'])
+def test_a_run_without_a_json_result_line_exits_naming_copy_and_command(monkeypatch, stdout):
+    # exit status 0, but nothing to read: the same SystemExit as a failed run
+    monkeypatch.setattr(ab, "subprocess", SimpleNamespace(run=lambda *args, **kwargs: SimpleNamespace(returncode=0, stdout=stdout, stderr="")))
+    with pytest.raises(SystemExit) as exit_:
+        ab.bench("copy-a", "reproduce", 3, 0.5, 0)
+    message = str(exit_.value.code)
+    assert message.startswith("copy-a: perfbench/run.py --workload reproduce --seed 3 --seconds 0.5 --trace 0 exited with 0")
+    assert repr(stdout.strip().splitlines()[-1] if stdout.strip() else "") in message

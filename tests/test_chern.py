@@ -17,9 +17,7 @@ from nlk3.chern import (
     loads_unigonal,
     net_counts,
     net_invariants,
-    unigonal_a2,
     unigonal_counts,
-    unigonal_double_point,
 )
 
 B1 = 3 * ZETA
@@ -204,8 +202,14 @@ def _table(**overrides):
     return UnigonalTable(**fields)
 
 
+def _double_point_degree(table):
+    # dd = 2*(a2 + a11), the number criterion 2 prints
+    a2, a11 = unigonal_counts(table)
+    return 2 * (a2 + a11)
+
+
 def test_unigonal_cuspidal_count():
-    assert unigonal_a2(default_unigonal_table()) == 816
+    assert unigonal_counts(default_unigonal_table())[0] == 816
 
 
 def test_unigonal_cuspidal_leading_term():
@@ -215,13 +219,14 @@ def test_unigonal_cuspidal_leading_term():
 
 
 def test_unigonal_double_point_degree():
-    assert unigonal_double_point(default_unigonal_table()) == 68592
+    assert _double_point_degree(default_unigonal_table()) == 68592
 
 
 def test_unigonal_double_point_delta_only():
     # only the delta^2 - beta1 delta part survives
     t = _table(delta=P2Class(0, 264, 0))
-    assert unigonal_double_point(t) == 69696 - 792 == 68904
+    assert unigonal_counts(t)[0] == 0
+    assert _double_point_degree(t) == 69696 - 792 == 68904
 
 
 def test_unigonal_counts():
@@ -234,15 +239,24 @@ def test_unigonal_counts_zero_table():
 
 def test_unigonal_rejects_odd_double_point_degree():
     t = _table(a3=P2Class(0, 0, -451), delta=P2Class(0, 264, 0))
-    assert unigonal_double_point(t) % 2 == 1
-    with pytest.raises(ValueError, match="odd"):
+    assert chern._double_point_class(t, chern._cuspidal_class(t)).degree == 68904 + 451 == 69355
+    with pytest.raises(ValueError, match="^double-point degree 69355 is odd"):
         unigonal_counts(t)
 
 
 def test_unigonal_rejects_non_integral_degree():
+    # the double-point class holds -C, so its degree is non-integral too; the
+    # cuspidal count is reported first
     t = _table(a1a2=P2Class(0, 0, Fraction(1, 3)))
-    with pytest.raises(ValueError, match="non-integral"):
-        unigonal_a2(t)
+    assert chern._double_point_class(t, chern._cuspidal_class(t)).degree == Fraction(-2, 3)
+    with pytest.raises(ValueError, match="^cuspidal count has non-integral degree 2/3$"):
+        unigonal_counts(t)
+
+
+def test_unigonal_rejects_non_integral_double_point_degree():
+    t = _table(a3=P2Class(0, 0, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="^double-point cycle has non-integral degree -1/2$"):
+        unigonal_counts(t)
 
 
 def test_unigonal_scaled_table():
@@ -250,18 +264,18 @@ def test_unigonal_scaled_table():
     # the double-point degree splits into a quadratic and a linear part
     t = default_unigonal_table()
     doubled = UnigonalTable(**{n: 2 * getattr(t, n) for n in ("a1", "a2", "a3", "a1sq", "a1a2", "delta")})
-    assert unigonal_a2(doubled) == 2 * 816 == 1632
+    assert unigonal_counts(doubled)[0] == 2 * 816 == 1632
     quadratic = 69696
-    linear = unigonal_double_point(t) - quadratic
+    linear = _double_point_degree(t) - quadratic
     assert linear == -1104
-    assert unigonal_double_point(doubled) == 4 * quadratic + 2 * linear == 276576
+    assert _double_point_degree(doubled) == 4 * quadratic + 2 * linear == 276576
 
 
 @given(st.integers(min_value=-6, max_value=6))
 def test_unigonal_a2_is_linear_in_the_table(c):
     t = default_unigonal_table()
     scaled = UnigonalTable(**{n: c * getattr(t, n) for n in ("a1", "a2", "a3", "a1sq", "a1a2", "delta")})
-    assert unigonal_a2(scaled) == c * 816
+    assert unigonal_counts(scaled)[0] == c * 816
 
 
 # the two classes as first shipped, each written out in full: the double
@@ -283,8 +297,9 @@ def _shipped_double_point(t):
 
 def _assert_shipped_classes(t):
     # whole classes, not only their degrees
-    assert chern._cuspidal_class(t) == _shipped_cuspidal(t)
-    assert chern._double_point_class(t) == _shipped_double_point(t)
+    cusp = chern._cuspidal_class(t)
+    assert cusp == _shipped_cuspidal(t)
+    assert chern._double_point_class(t, cusp) == _shipped_double_point(t)
 
 
 def test_unigonal_classes_equal_the_shipped_formulas():

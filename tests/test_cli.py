@@ -805,17 +805,17 @@ def test_verify_reads_each_shipped_table_once(capsys, monkeypatch):
     assert read == {"chi10_exponents.tbl": 1, "e4.tbl": 1, "e6.tbl": 1, "unigonal.tbl": 1}
 
 
-def test_double_point_is_evaluated_once_per_count(capsys, monkeypatch):
-    # criterion 2 and enum unigonal print 2*(a2 + a11) from their one
-    # unigonal_counts call; criterion 5 counts on its own, since criteria
-    # also run one at a time
+def test_cuspidal_class_is_formed_once_per_count(capsys, monkeypatch):
+    # unigonal_counts forms C once for both degrees; criterion 2 and enum
+    # unigonal print 2*(a2 + a11) from their one unigonal_counts call;
+    # criterion 5 counts on its own, since criteria also run one at a time
     calls = Counter()
-    real = chern.unigonal_double_point
-    monkeypatch.setattr(chern, "unigonal_double_point", lambda table: calls.update(["dd"]) or real(table))
+    real = chern._cuspidal_class
+    monkeypatch.setattr(chern, "_cuspidal_class", lambda table: calls.update(["C"]) or real(table))
     for args, want in ((("verify", "--criterion", "2"), 1), (("enum", "unigonal"), 1), (("verify", "--all"), 2)):
         calls.clear()
         assert run_cli(capsys, *args)[0] == 0
-        assert calls["dd"] == want, args
+        assert calls["C"] == want, args
 
 
 def _wrap(monkeypatch, owner, name, when, fault):
@@ -1026,14 +1026,14 @@ def test_caches_are_bounded():
     assert all(cache.cache_parameters()["maxsize"] is not None for cache in caches), caches
 
 
-# sha256 of ",".join(nlk3.__all__): the 58 imported public names in import
+# sha256 of ",".join(nlk3.__all__): the 56 imported public names in import
 # order, then __version__
-ALL_SHA256 = "60eb6533228d281176fb0e5034ddb6587984a618eb979b105469924612cee735"
+ALL_SHA256 = "0ffc953086355fe5679086cbf9897d18cde23084b6f9c772c85a74d51b2ecfe9"
 
 
 def test_public_api_is_pinned_and_resolves():
     assert hashlib.sha256(",".join(nlk3.__all__).encode()).hexdigest() == ALL_SHA256
-    assert len(nlk3.__all__) == len(set(nlk3.__all__)) == 59 and nlk3.__all__[-1] == "__version__"
+    assert len(nlk3.__all__) == len(set(nlk3.__all__)) == 57 and nlk3.__all__[-1] == "__version__"
     for name in nlk3.__all__:
         assert getattr(nlk3, name) is not None, name
     namespace = {}

@@ -85,14 +85,26 @@ def bench(copy, workload, seed, seconds, trace):
     proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{copy}: {' '.join(cmd[1:])} exited with {proc.returncode}:\n{proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    try:
+        return json.loads(last)
+    except json.JSONDecodeError:
+        raise SystemExit(f"{copy}: {' '.join(cmd[1:])} exited with 0 but printed no JSON result; last line: {last!r}") from None
+
+
+def positive_int(text):
+    """An argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision measured as the parent")
     parser.add_argument("--change", required=True, help="revision measured as the change")
-    parser.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload (seeds 1..pairs)")
+    parser.add_argument("--pairs", type=positive_int, default=5, help="alternating pairs per workload (seeds 1..pairs)")
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--traced-seconds", type=float, default=0, help="one --trace 1 run per side and workload when > 0")
     parser.add_argument("--workload", action="append", help="a workload to run (repeatable; default: all)")
