@@ -75,7 +75,6 @@ from nlk3.siegel import (
     loads_half_integral,
     predict_nl,
     series_mul,
-    series_one,
     series_truncate,
 )
 

@@ -394,12 +394,6 @@ class DiscElement(Record):
             self.factors, tuple((a + b) % d for a, b, d in zip(self.residues, other.residues, self.factors))
         )
 
-    def __neg__(self):
-        return DiscElement._trusted(self.factors, tuple(-a % d for a, d in zip(self.residues, self.factors)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rmul__(self, c: int):
         c = exact_int(c)
         return DiscElement._trusted(self.factors, tuple(c * a % d for a, d in zip(self.residues, self.factors)))

@@ -64,10 +64,6 @@ def _window(trunc_k, trunc_m, trunc_l=None) -> tuple[int, int, int]:
     return trunc_k, trunc_m, trunc_l
 
 
-def series_one(trunc_k: int, trunc_m: int, trunc_l: int | None = None) -> GenusTwoSeries:
-    return GenusTwoSeries({(0, 0, 0): 1}, trunc_k, trunc_m, trunc_l)
-
-
 def _scaled(x: GenusTwoSeries, tk: int, tm: int) -> tuple[list, int]:
     """(terms, d): x's terms inside the (k, m) window as ((k, l, m), d*c) with
     int d*c, for d the lcm of x's denominators (1 for an integral series)."""

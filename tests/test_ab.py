@@ -91,6 +91,18 @@ def test_exempt_bench_files_took_exclusive_quartiles(name):
                 assert out[side][metric]["median"] == stored[side][metric]["median"]
 
 
+def _git_stub(monkeypatch):
+    # main asks git for the repository only to pass it to archive
+    monkeypatch.setattr(ab, "subprocess", SimpleNamespace(run=lambda *args, **kwargs: SimpleNamespace(stdout="repo\n")))
+
+
+def _copy_benchmark(repo, rev, dest):
+    """A stand-in for ab.archive: a copy that holds only BENCHMARK.json."""
+    Path(dest).mkdir(parents=True)
+    (Path(dest) / "BENCHMARK.json").write_text((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"), encoding="utf-8")
+    return rev
+
+
 def test_both_sides_of_a_seed_run_from_paths_of_one_length(tmp_path, monkeypatch):
     # each side is copied twice, and the seeds alternate the two copies, so a
     # peak RSS that moves with the checkout's path length falls on both sides
@@ -99,16 +111,13 @@ def test_both_sides_of_a_seed_run_from_paths_of_one_length(tmp_path, monkeypatch
 
     def archive(repo, rev, dest):
         made.append(dest)
-        Path(dest).mkdir(parents=True)
-        (Path(dest) / "BENCHMARK.json").write_text((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"), encoding="utf-8")
-        return rev
+        return _copy_benchmark(repo, rev, dest)
 
     def bench(copy, workload, seed, seconds, trace):
         ran.append((copy, seed, trace))
         return {"metrics": {m: {"value": 1.0} for m in metrics}, "failed": 0, "correct": True}
 
-    # main asks git for the repository only to pass it to archive
-    monkeypatch.setattr(ab, "subprocess", SimpleNamespace(run=lambda *args, **kwargs: SimpleNamespace(stdout="repo\n")))
+    _git_stub(monkeypatch)
     monkeypatch.setattr(ab, "archive", archive)
     monkeypatch.setattr(ab, "bench", bench)
     work = str(tmp_path / "w")
@@ -127,7 +136,7 @@ def test_both_sides_of_a_seed_run_from_paths_of_one_length(tmp_path, monkeypatch
 
 def test_pairs_below_one_is_a_usage_error_before_any_copy(tmp_path, monkeypatch, capsys):
     made = []
-    monkeypatch.setattr(ab, "subprocess", SimpleNamespace(run=lambda *args, **kwargs: SimpleNamespace(stdout="repo\n")))
+    _git_stub(monkeypatch)
     monkeypatch.setattr(ab, "archive", lambda repo, rev, dest: made.append(dest) or rev)
     for pairs in ("0", "-1"):
         with pytest.raises(SystemExit) as exit_:
@@ -146,3 +155,41 @@ def test_a_run_without_a_json_result_line_exits_naming_copy_and_command(monkeypa
     message = str(exit_.value.code)
     assert message.startswith("copy-a: perfbench/run.py --workload reproduce --seed 3 --seconds 0.5 --trace 0 exited with 0")
     assert repr(stdout.strip().splitlines()[-1] if stdout.strip() else "") in message
+
+
+@pytest.mark.parametrize("side", ab.SIDES)
+def test_a_workdir_that_holds_a_copy_is_a_usage_error_before_any_copy(tmp_path, monkeypatch, capsys, side):
+    made = []
+    _git_stub(monkeypatch)
+    monkeypatch.setattr(ab, "archive", lambda repo, rev, dest: made.append(dest) or rev)
+    (tmp_path / "w" / side).mkdir(parents=True)
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["--parent", "p", "--change", "c", "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "ab.json")])
+    assert exit_.value.code == 2
+    assert f"--workdir {tmp_path / 'w'} already holds {side}/" in capsys.readouterr().err
+    assert made == []
+
+
+def test_an_out_in_a_missing_directory_is_a_usage_error_before_any_copy(tmp_path, monkeypatch, capsys):
+    made = []
+    _git_stub(monkeypatch)
+    monkeypatch.setattr(ab, "archive", lambda repo, rev, dest: made.append(dest) or rev)
+    out = tmp_path / "missing" / "ab.json"
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["--parent", "p", "--change", "c", "--workdir", str(tmp_path / "w"), "--out", str(out)])
+    assert exit_.value.code == 2
+    assert f"--out {out}: no such directory" in capsys.readouterr().err
+    assert made == []
+
+
+def test_a_result_without_an_end_to_end_metric_exits_naming_copy_workload_and_metric(tmp_path, monkeypatch):
+    # a parent older than a metric of the change's BENCHMARK.json does not
+    # report it
+    _git_stub(monkeypatch)
+    monkeypatch.setattr(ab, "archive", _copy_benchmark)
+    monkeypatch.setattr(ab, "bench", lambda copy, *_: {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "correct": True})
+    work = str(tmp_path / "w")
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["--parent", "p", "--change", "c", "--pairs", "1", "--workload", "reproduce", "--workdir", work, "--out", str(tmp_path / "ab.json")])
+    copy = ab.copy_dir(work, "parent", 1)
+    assert exit_.value.code == f"{copy}: the reproduce result has no setup_s, an end-to-end metric of the change's BENCHMARK.json"

@@ -919,7 +919,7 @@ def test_element_arithmetic():
     grp = discriminant_group(build_standard("LambdaA1", g=6))
     x = grp.element((1, 3))
     assert (x + x).residues == (0, 6)
-    assert (-x).residues == (1, 7)
+    assert ((-1) * x).residues == (1, 7)
     assert (5 * x).residues == (1, 15 % 10)
     assert x.order() == 10
     assert grp.element((1, 0)).order() == 2
@@ -953,7 +953,7 @@ def test_disc_element_checks_and_reduces_its_residues():
     "name,g", [("E7neg", None), ("K3", None), ("LambdaG", 7), ("LambdaG", 50), ("LambdaA1", 6), ("LambdaA1", 10**6)]
 )
 def test_internal_elements_equal_the_checked_constructor(name, g):
-    # elements(n), _class_of, +, - and c*x build elements through
+    # elements(n), _class_of, + and c*x build elements through
     # Record._trusted, without the constructor's checks; each must be the
     # element DiscElement(...) gives for the unreduced residues
     l = build_standard(name, g=g)
@@ -976,8 +976,7 @@ def test_internal_elements_equal_the_checked_constructor(name, g):
         x, y = grp.element(a), grp.element(b)
         c = rng.randint(-(10**6), 10**6)
         assert_checked(x + y, [p + q for p, q in zip(a, b)])
-        assert_checked(x - y, [p - q for p, q in zip(a, b)])
-        assert_checked(-x, [-p for p in a])
+        assert_checked(x + (-1) * y, [p - q for p, q in zip(a, b)])
         assert_checked(c * x, [c * p for p in a])
 
 

@@ -31,7 +31,6 @@ from nlk3.siegel import (
     loads_half_integral,
     predict_nl,
     series_mul,
-    series_one,
     series_truncate,
 )
 
@@ -71,7 +70,7 @@ def test_coefficient_raises_beyond_window():
 
 def test_series_mul_identity():
     x = GenusTwoSeries({(1, 1, 1): 7, (2, -1, 0): Fraction(1, 3)}, 2, 2)
-    assert series_mul(x, series_one(2, 2)) == x
+    assert series_mul(x, GenusTwoSeries({(0, 0, 0): 1}, 2, 2)) == x
 
 
 def test_series_mul_two_binomials():
@@ -81,8 +80,8 @@ def test_series_mul_two_binomials():
 
 
 def test_series_mul_takes_tighter_window():
-    x = series_one(3, 2, 5)
-    y = series_one(2, 4, 7)
+    x = GenusTwoSeries({(0, 0, 0): 1}, 3, 2, 5)
+    y = GenusTwoSeries({(0, 0, 0): 1}, 2, 4, 7)
     z = series_mul(x, y)
     assert (z.trunc_k, z.trunc_m, z.trunc_l) == (2, 2, 5)
 
@@ -169,7 +168,7 @@ def test_series_mul_drops_cancelled_coefficients():
 
 
 def test_series_truncate_cannot_widen():
-    s = series_one(2, 2, 3)
+    s = GenusTwoSeries({(0, 0, 0): 1}, 2, 2, 3)
     with pytest.raises(ValueError, match="extend"):
         series_truncate(s, 3, 2, 3)
 
@@ -257,7 +256,7 @@ def test_binomial_pow_keeps_exactly_the_terms_in_the_window():
 @given(st.integers(min_value=-200, max_value=200))
 def test_binomial_pow_inverse_identity(c):
     u = series_mul(binomial_pow((1, 1, 1), c, 4, 4), binomial_pow((1, 1, 1), -c, 4, 4))
-    assert u == series_one(4, 4)
+    assert u == GenusTwoSeries({(0, 0, 0): 1}, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +410,7 @@ def _chi10_by_series_mul(trunc_k, trunc_m):
     table = default_chi10_exponents()
     out_l = default_trunc_l(trunc_k, trunc_m)
     window = (trunc_k - 1, trunc_m - 1, out_l + 1)
-    prod = series_one(*window)
+    prod = GenusTwoSeries({(0, 0, 0): 1}, *window)
     for r in range(trunc_k):
         for t in range(trunc_m):
             smax = isqrt(4 * r * t + 1)

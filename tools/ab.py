@@ -113,6 +113,13 @@ def main(argv=None):
     parser.add_argument("--what", default="")
     parser.add_argument("--claimed", default="")
     args = parser.parse_args(argv)
+    # refused before any copy is made: archive cannot extract over an old
+    # copy, and the result is written only after every run
+    for side in SIDES:
+        if args.workdir and os.path.exists(os.path.join(args.workdir, side)):
+            parser.error(f"--workdir {args.workdir} already holds {side}/; give a new or empty directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        parser.error(f"--out {args.out}: no such directory")
 
     repo = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True, check=True).stdout.strip()
     work = args.workdir or tempfile.mkdtemp(prefix="nlk3-ab-")
@@ -143,8 +150,11 @@ def main(argv=None):
         status = {side: {"failed": [], "correct": []} for side in SIDES}
         for seed in seeds:
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                line = bench(copy_dir(work, side, seed), workload, seed, args.seconds, 0)
+                copy = copy_dir(work, side, seed)
+                line = bench(copy, workload, seed, args.seconds, 0)
                 for name in metrics:
+                    if name not in line["metrics"]:
+                        raise SystemExit(f"{copy}: the {workload} result has no {name}, an end-to-end metric of the change's BENCHMARK.json")
                     runs[side][name].append(line["metrics"][name]["value"])
                 status[side]["failed"].append(line["failed"])
                 status[side]["correct"].append(line["correct"])
