@@ -134,16 +134,22 @@ def test_both_sides_of_a_seed_run_from_paths_of_one_length(tmp_path, monkeypatch
     assert json.loads(out.read_text(encoding="utf-8"))["workloads"]["reproduce"]["wins"]["wall_s"] == "0/4"
 
 
-def test_pairs_below_one_is_a_usage_error_before_any_copy(tmp_path, monkeypatch, capsys):
+def _usage_error(monkeypatch, capsys, *args):
+    """main's stderr for a usage error (exit 2), checked to come before any
+    copy is made."""
     made = []
     _git_stub(monkeypatch)
     monkeypatch.setattr(ab, "archive", lambda repo, rev, dest: made.append(dest) or rev)
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["--parent", "p", "--change", "c", *args])
+    assert exit_.value.code == 2 and made == []
+    return capsys.readouterr().err
+
+
+def test_pairs_below_one_is_a_usage_error_before_any_copy(tmp_path, monkeypatch, capsys):
     for pairs in ("0", "-1"):
-        with pytest.raises(SystemExit) as exit_:
-            ab.main(["--parent", "p", "--change", "c", "--pairs", pairs, "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "ab.json")])
-        assert exit_.value.code == 2
-        assert f"argument --pairs: must be at least 1, got {pairs}" in capsys.readouterr().err
-    assert made == []
+        err = _usage_error(monkeypatch, capsys, "--pairs", pairs, "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "ab.json"))
+        assert f"argument --pairs: must be at least 1, got {pairs}" in err
 
 
 @pytest.mark.parametrize("stdout", ["", "\n", "trace line\n", '{"metrics": \n'])
@@ -159,27 +165,16 @@ def test_a_run_without_a_json_result_line_exits_naming_copy_and_command(monkeypa
 
 @pytest.mark.parametrize("side", ab.SIDES)
 def test_a_workdir_that_holds_a_copy_is_a_usage_error_before_any_copy(tmp_path, monkeypatch, capsys, side):
-    made = []
-    _git_stub(monkeypatch)
-    monkeypatch.setattr(ab, "archive", lambda repo, rev, dest: made.append(dest) or rev)
+    # archive cannot extract over a copy an earlier run left
     (tmp_path / "w" / side).mkdir(parents=True)
-    with pytest.raises(SystemExit) as exit_:
-        ab.main(["--parent", "p", "--change", "c", "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "ab.json")])
-    assert exit_.value.code == 2
-    assert f"--workdir {tmp_path / 'w'} already holds {side}/" in capsys.readouterr().err
-    assert made == []
+    err = _usage_error(monkeypatch, capsys, "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "ab.json"))
+    assert f"--workdir {tmp_path / 'w'} already holds {side}/" in err
 
 
 def test_an_out_in_a_missing_directory_is_a_usage_error_before_any_copy(tmp_path, monkeypatch, capsys):
-    made = []
-    _git_stub(monkeypatch)
-    monkeypatch.setattr(ab, "archive", lambda repo, rev, dest: made.append(dest) or rev)
     out = tmp_path / "missing" / "ab.json"
-    with pytest.raises(SystemExit) as exit_:
-        ab.main(["--parent", "p", "--change", "c", "--workdir", str(tmp_path / "w"), "--out", str(out)])
-    assert exit_.value.code == 2
-    assert f"--out {out}: no such directory" in capsys.readouterr().err
-    assert made == []
+    err = _usage_error(monkeypatch, capsys, "--workdir", str(tmp_path / "w"), "--out", str(out))
+    assert f"--out {out}: no such directory" in err
 
 
 def test_a_result_without_an_end_to_end_metric_exits_naming_copy_workload_and_metric(tmp_path, monkeypatch):
